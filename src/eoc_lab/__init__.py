@@ -16,22 +16,17 @@ from .gaussian import (
     erf,
     erf_inv,
     gauss_expect,
-    gauss_expect_scaled_arg,
     normal_cdf,
     normal_quantile,
 )
-from .jacobian import JacobianMoments, error_moment_trajectory, jacobian_moments
+from .jacobian import JacobianMoments, jacobian_moments
 from .maps import (
-    CorrelationPoint,
     MapDiagnostics,
     chi1,
     chi1_prime,
-    correlation_map,
     correlation_map_precise,
-    correlation_point,
     diagnostics,
     v_map,
-    v_map_quadrature,
     v_prime,
     v_prime2,
 )
@@ -54,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationSpec",
-    "CorrelationPoint",
     "DEFAULT_TOLERANCES",
     "DegenerateSlopeError",
     "EocInit",
@@ -72,17 +66,13 @@ __all__ = [
     "TrainReport",
     "chi1",
     "chi1_prime",
-    "correlation_map",
     "correlation_map_precise",
-    "correlation_point",
     "critical_gain",
     "diagnostics",
     "erf",
     "erf_inv",
-    "error_moment_trajectory",
     "find_fixed_points",
     "gauss_expect",
-    "gauss_expect_scaled_arg",
     "init_from_m",
     "jacobian_moments",
     "lemma_q1_closed_form",
@@ -100,7 +90,6 @@ __all__ = [
     "theorem1_bound",
     "train",
     "v_map",
-    "v_map_quadrature",
     "v_prime",
     "v_prime2",
 ]

@@ -1,121 +1,197 @@
 """Closed-form Gaussian moments of the activation families.
 
-Each moment of phi(z) for z ~ N(0, q) is assembled from exact integrals of
-polynomials against the standard-normal density over the linear segment plus
-the point mass the clip puts on the saturated tail.  Quadrature never enters
-here; the quadrature route lives in :mod:`eoc_lab.gaussian` and the test
-suite holds the two against each other.
+Every closed form in the package is assembled here, by one kernel
+(:class:`_Kernel`) that works in the normalised coordinates of the linear
+segment,
 
-Conventions used throughout, writing a = tau / sqrt(q), b = (tau+m) / sqrt(q),
-g for the standard-normal pdf and Phi for its cdf:
+    a = tau / sqrt(q),   b = (tau + m) / sqrt(q),   x = m / sqrt(q),
 
-    one-sided second moment  = (q + tau^2) (Phi(b) - Phi(a))
-                               + sqrt(q) (tau - m) g(b) - sqrt(q) tau g(a)
-                               + m^2 (1 - Phi(b))
+and broadcasts over numpy arrays of (q, tau, m, sw2).  Writing g for the
+standard-normal pdf and Phi for its cdf, the segment integrals
+i_k = integral_a^b z^k g(z) dz are
 
-with the analogous quartic expansion for the fourth moment.  The two-sided
-family doubles the one-sided value of its own threshold by symmetry, and
-relu is the tau = 0, m -> inf limit (q/2 and 3 q^2 / 2).
+    i0 = Phi(b) - Phi(a)             i1 = g(a) - g(b)
+    i2 = i0 + a g(a) - b g(b)        i3 = (a^2 + 2) g(a) - (b^2 + 2) g(b)
+    i4 = 3 i0 + (a^3 + 3a) g(a) - (b^3 + 3b) g(b)
+
+and the clip puts the mass tail = 1 - Phi(b) at the level m.  For the
+one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
+
+    E[phi^2]     = q [i2 - 2a i1 + a^2 i0 + x^2 tail]
+    E[phi^4]     = q^2 [i4 - 4a i3 + 6a^2 i2 - 4a^3 i1 + a^4 i0 + x^4 tail]
+    P(phi' = 1)  = i0
+    V'  = sw2 (i0 - x g(b))                          chi1  = sw2 i0
+    V'' = sw2 / 2q (a g(a) - b g(b) + x (1 - b^2) g(b))
+    chi1' = sw2 / 2q (a g(a) - b g(b))
+
+The two-sided family is the one-sided value at its own threshold times 2,
+by symmetry, applied once as the last multiply.  relu keeps its exact
+closed forms (q/2, 3 q^2 / 2, 1/2): at b = inf the clip terms would be
+inf * 0.  Quadrature never enters here; the quadrature route lives in
+:mod:`eoc_lab.gaussian` and the test suite holds the two against each other.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 
 from .activations import CRELU, CST, RELU, ActivationSpec
+from .gaussian import _check_q
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _phi_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT2PI
+def _pdf(x):
+    return np.exp(-0.5 * x * x) / _SQRT2PI
 
 
-def _segment_power_integrals(a: float, b: float) -> tuple[float, ...]:
-    """Integrals of z^k g(z) dz over [a, b] for k = 0..4."""
-    ga, gb = _phi_pdf(a), _phi_pdf(b)
-    pa, pb = float(ndtr(a)), float(ndtr(b))
-    i0 = pb - pa
-    i1 = ga - gb
-    i2 = i0 + a * ga - b * gb
-    i3 = (a * a + 2.0) * ga - (b * b + 2.0) * gb
-    i4 = 3.0 * i0 + (a ** 3 + 3.0 * a) * ga - (b ** 3 + 3.0 * b) * gb
-    return i0, i1, i2, i3, i4
+def _value(x):
+    """A Python float for scalar results, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def _one_sided_second(tau: float, m: float, q: float) -> float:
-    sq = math.sqrt(q)
-    a, b = tau / sq, (tau + m) / sq
-    i0, i1, i2, _, _ = _segment_power_integrals(a, b)
-    linear = q * i2 - 2.0 * sq * tau * i1 + tau * tau * i0
-    return linear + m * m * (1.0 - float(ndtr(b)))
+class _Kernel:
+    """Closed forms of one activation family at variance q, over arrays.
+
+    ``tau``, ``m`` and ``q`` broadcast against each other, and so does the
+    ``sw2`` passed to the map methods.  ``tau`` may be negative here, which
+    the shifted first moment uses.
+    """
+
+    def __init__(self, kind: str, tau, m, q):
+        self.kind, self.q = kind, q
+        if kind == RELU:
+            return
+        self.sq = np.sqrt(q)
+        self.a = tau / self.sq
+        self.b = (tau + m) / self.sq
+        self.x = m / self.sq
+        self.ga, self.gb = _pdf(self.a), _pdf(self.b)
+        self.i0 = ndtr(self.b) - ndtr(self.a)
+        self.tail = ndtr(-self.b)
+
+    @classmethod
+    def at(cls, spec: ActivationSpec, q) -> "_Kernel":
+        return cls(spec.kind, spec.tau, spec.m, _check_q(q))
+
+    def _family(self, one):
+        return 2.0 * one if self.kind == CST else one
+
+    # segment integrals beyond i0 and the shared exponential terms
+
+    @cached_property
+    def i1(self):
+        return self.ga - self.gb
+
+    @cached_property
+    def i2(self):
+        return self.i0 + self.a * self.ga - self.b * self.gb
+
+    @cached_property
+    def i3(self):
+        a, b = self.a, self.b
+        return (a * a + 2.0) * self.ga - (b * b + 2.0) * self.gb
+
+    @cached_property
+    def i4(self):
+        a, b = self.a, self.b
+        return 3.0 * self.i0 + (a * a * a + 3.0 * a) * self.ga - (b * b * b + 3.0 * b) * self.gb
+
+    @cached_property
+    def _edge(self):
+        # a g(a) - b g(b), the q-derivative of i0 times -2q
+        return self.a * self.ga - self.b * self.gb
+
+    # moments of phi and phi'
+
+    @cached_property
+    def second(self):
+        """E[phi(z)^2]."""
+        if self.kind == RELU:
+            return 0.5 * self.q
+        a, x = self.a, self.x
+        return self._family(
+            self.q * (self.i2 - 2.0 * a * self.i1 + a * a * self.i0 + x * x * self.tail)
+        )
+
+    @cached_property
+    def fourth(self):
+        """E[phi(z)^4]."""
+        if self.kind == RELU:
+            return 1.5 * self.q * self.q
+        a, x = self.a, self.x
+        a2 = a * a
+        linear = (
+            self.i4 - 4.0 * a * self.i3 + 6.0 * a2 * self.i2
+            - 4.0 * a2 * a * self.i1 + a2 * a2 * self.i0
+        )
+        return self._family(self.q * self.q * (linear + x * x * x * x * self.tail))
+
+    @cached_property
+    def linear(self):
+        """P(phi'(z) = 1), which is E[phi'(z)^(2k)] for every k >= 1."""
+        if self.kind == RELU:
+            return 0.5 + 0.0 * self.q
+        return self._family(self.i0)
+
+    # the variance map, its derivatives and the growth factor
+
+    def v(self, sw2, sb2):
+        return sw2 * self.second + sb2
+
+    def chi1(self, sw2):
+        return sw2 * self.linear
+
+    def v_prime(self, sw2):
+        if self.kind == RELU:
+            return 0.5 * sw2 + 0.0 * self.q
+        return self._family(sw2 * (self.i0 - self.x * self.gb))
+
+    def chi1_prime(self, sw2):
+        if self.kind == RELU:
+            return 0.0 * sw2 * self.q
+        return self._family(sw2 / (2.0 * self.q) * self._edge)
+
+    def v_prime2(self, sw2):
+        if self.kind == RELU:
+            return 0.0 * sw2 * self.q
+        x, b, gb = self.x, self.b, self.gb
+        return self._family(sw2 / (2.0 * self.q) * (self._edge + x * (1.0 - b * b) * gb))
+
+    # one-sided quantities
+
+    @property
+    def slope_ratio(self):
+        """V'/chi1 of the one-sided family, 1 - x g(b) / i0."""
+        return 1.0 - self.x * self.gb / self.i0
+
+    @property
+    def first(self):
+        """E[clip(z - tau, 0, m)] of the one-sided family."""
+        return self.sq * (self.i1 - self.a * self.i0 + self.x * self.tail)
 
 
-def _one_sided_fourth(tau: float, m: float, q: float) -> float:
-    sq = math.sqrt(q)
-    a, b = tau / sq, (tau + m) / sq
-    i0, i1, i2, i3, i4 = _segment_power_integrals(a, b)
-    linear = (
-        q * q * i4
-        - 4.0 * q * sq * tau * i3
-        + 6.0 * q * tau * tau * i2
-        - 4.0 * sq * tau ** 3 * i1
-        + tau ** 4 * i0
-    )
-    return linear + m ** 4 * (1.0 - float(ndtr(b)))
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise ValueError(f"variance must be positive and finite, got {q}")
-    return q
-
-
-def second_moment(spec: ActivationSpec, q: float) -> float:
+def second_moment(spec: ActivationSpec, q):
     """E[phi(z)^2] for z ~ N(0, q)."""
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 0.5 * q
-    one = _one_sided_second(spec.tau, spec.m, q)
-    return 2.0 * one if spec.kind == CST else one
+    return _value(_Kernel.at(spec, q).second)
 
 
-def fourth_moment(spec: ActivationSpec, q: float) -> float:
+def fourth_moment(spec: ActivationSpec, q):
     """E[phi(z)^4] for z ~ N(0, q)."""
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 1.5 * q * q
-    one = _one_sided_fourth(spec.tau, spec.m, q)
-    return 2.0 * one if spec.kind == CST else one
+    return _value(_Kernel.at(spec, q).fourth)
 
 
-def linear_region_probability(spec: ActivationSpec, q: float) -> float:
+def linear_region_probability(spec: ActivationSpec, q):
     """P(phi'(z) = 1) for z ~ N(0, q).
 
     The derivative is {0, 1}-valued, so this single probability equals
     E[phi'(z)^(2k)] for every k >= 1.
     """
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 0.5
-    sq2q = math.sqrt(2.0 * q)
-    half = 0.5 * (math.erf((spec.tau + spec.m) / sq2q) - math.erf(spec.tau / sq2q))
-    return 2.0 * half if spec.kind == CST else half
-
-
-def _one_sided_first_shifted(tau: float, m: float, mu, sigma: float):
-    """E[clip(x - tau, 0, m)] for x ~ N(mu, sigma^2), vectorised over mu."""
-    mu = np.asarray(mu, dtype=float)
-    alpha = (tau - mu) / sigma
-    beta = (tau + m - mu) / sigma
-    ga = np.exp(-0.5 * alpha * alpha) / _SQRT2PI
-    gb = np.exp(-0.5 * beta * beta) / _SQRT2PI
-    pa, pb = ndtr(alpha), ndtr(beta)
-    return (mu - tau) * (pb - pa) + sigma * (ga - gb) + m * (1.0 - pb)
+    return _value(_Kernel.at(spec, q).linear)
 
 
 def first_moment_shifted(spec: ActivationSpec, mu, sigma: float):
@@ -126,12 +202,12 @@ def first_moment_shifted(spec: ActivationSpec, mu, sigma: float):
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    mu = np.asarray(mu, dtype=float)
     if spec.kind == RELU:
-        mu = np.asarray(mu, dtype=float)
         alpha = -mu / sigma
-        return mu * ndtr(-alpha) + sigma * np.exp(-0.5 * alpha * alpha) / _SQRT2PI
+        return mu * ndtr(-alpha) + sigma * _pdf(alpha)
+    var = sigma * sigma
+    pos = _Kernel(CRELU, spec.tau - mu, spec.m, var).first
     if spec.kind == CRELU:
-        return _one_sided_first_shifted(spec.tau, spec.m, mu, sigma)
-    pos = _one_sided_first_shifted(spec.tau, spec.m, mu, sigma)
-    neg = _one_sided_first_shifted(spec.tau, spec.m, -np.asarray(mu, dtype=float), sigma)
-    return pos - neg
+        return pos
+    return pos - _Kernel(CRELU, spec.tau + mu, spec.m, var).first

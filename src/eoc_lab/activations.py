@@ -30,6 +30,15 @@ CST = "cst"
 KINDS = (RELU, CRELU, CST)
 
 
+def _check_shape(tau, m) -> None:
+    """Validate a threshold and a clip level, or arrays of them."""
+    tau, m = np.asarray(tau, dtype=float), np.asarray(m, dtype=float)
+    if not np.all((tau >= 0.0) & np.isfinite(tau)):
+        raise ValueError("tau must be a finite nonnegative threshold")
+    if not np.all((m > 0.0) & np.isfinite(m)):
+        raise ValueError("m must be a finite positive clip level")
+
+
 @dataclass(frozen=True)
 class ActivationSpec:
     """An activation family plus its shape parameters.
@@ -49,10 +58,7 @@ class ActivationSpec:
             object.__setattr__(self, "tau", 0.0)
             object.__setattr__(self, "m", math.inf)
             return
-        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be a finite nonnegative threshold")
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise ValueError("m must be a finite positive clip level")
+        _check_shape(self.tau, self.m)
 
     @classmethod
     def relu(cls) -> "ActivationSpec":

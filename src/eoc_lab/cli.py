@@ -15,27 +15,24 @@ Exit codes: 0 success, 1 usage or configuration error, 2 infeasible target,
 
 A JSON file passed via ``--config`` supplies defaults for any flag of the
 subcommand (keys use the flag's destination name); explicit flags win.
-``EOC_LAB_THREADS`` caps sweep parallelism; output order never depends on
-completion order.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import finite_width, jacobian, maps, simulator, trainer
-from .activations import CRELU, CST, KINDS, RELU, ActivationSpec
+from . import finite_width, jacobian, maps, simulator, solver, trainer
+from ._moments import _Kernel
+from .activations import CRELU, CST, KINDS, RELU, _check_shape
 from .solver import (
     EocInit,
     InfeasibleTargetError,
-    critical_gain,
     find_fixed_points,
     init_from_m,
     relu_init,
@@ -90,22 +87,6 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("EOC_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -180,27 +161,41 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_value(quantity, kind, s, q_star, m):
-    """One grid cell: gain re-solved at (q*, m) with the threshold from s."""
+# kernel method of each sweep quantity that needs only the critical gain
+_GAIN_QUANTITIES = {"Vprime": "v_prime", "Vprimeprime": "v_prime2", "chi1prime": "chi1_prime"}
+
+
+def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor):
+    """One sparsity's block of a sweep, in CSV row order.
+
+    Every cell is a critical initialisation: the threshold comes from s and
+    the gain is re-solved at the cell's q* (at ``anchor`` for vmap_curve,
+    whose axes are (m, q) instead of (q*, m)).  A cell whose gain does not
+    exist reads nan; so does a cell that fails the solver's feasibility
+    predicate, for the quantities that need the whole initialisation.
+    """
+    if quantity == "vmap_curve":
+        q_star, m = anchor, m_grid[:, None]
+    else:
+        q_star, m = q_grid[:, None], m_grid
     tau = sparsity_threshold(kind, s, q_star)
-    spec = ActivationSpec(kind, tau, m)
-    try:
-        sw2 = critical_gain(spec, q_star)
-    except InfeasibleTargetError:
-        return float("nan")
-    if quantity == "Vprime":
-        return maps.v_prime(spec, sw2, q_star)
-    if quantity == "Vprimeprime":
-        return maps.v_prime2(spec, sw2, q_star)
-    if quantity == "chi1prime":
-        return maps.chi1_prime(spec, sw2, q_star)
-    if quantity == "nlo_bound":
-        try:
-            init = init_from_m(kind, s, q_star, m)
-            return finite_width.theorem1_bound(init)
-        except (InfeasibleTargetError, ValueError):
-            return float("nan")
-    raise ValueError(quantity)
+    _check_shape(tau, m)
+    k = _Kernel(kind, tau, m, q_star)
+    sw2, sb2 = solver._critical(k, q_star)
+    failure = solver._failure(k, sw2, sb2, q_star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if quantity in _GAIN_QUANTITIES:
+            values = getattr(k, _GAIN_QUANTITIES[quantity])(sw2)
+            infeasible = failure == solver._SATURATED
+        elif quantity == "nlo_bound":
+            values = finite_width._envelope(
+                k.v_prime(sw2), k.v_prime2(sw2), finite_width._innovation(k, sw2)
+            )
+            infeasible = failure >= 0
+        else:
+            values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
+            infeasible = failure >= 0
+        return np.where(infeasible, np.nan, values).ravel().tolist()
 
 
 def _cmd_sweep(args) -> int:
@@ -212,32 +207,19 @@ def _cmd_sweep(args) -> int:
     m_lo, m_hi, m_steps = args.m_range
     q_grid = np.linspace(q_lo, q_hi, q_steps)
     m_grid = np.linspace(m_lo, m_hi, m_steps)
+    anchor = args.qstar if args.qstar is not None else 1.0
 
+    values = []
+    for s in args.s_list:
+        values += _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor)
+    q_list, m_list = q_grid.tolist(), m_grid.tolist()
     if args.quantity == "vmap_curve":
-        anchor = args.qstar if args.qstar is not None else 1.0
-        cells = [(s, m) for s in args.s_list for m in m_grid]
-
-        def curve(cell):
-            s, m = cell
-            try:
-                init = init_from_m(kind, s, anchor, m)
-            except InfeasibleTargetError:
-                return [(kind, s, anchor, m, q, float("nan")) for q in q_grid]
-            return [
-                (kind, s, anchor, m, q, maps.v_map(init.spec, init.sw2, init.sb2, q))
-                for q in q_grid
-            ]
-
-        rows = [row for chunk in _parallel_map(curve, cells) for row in chunk]
+        cells = itertools.product(args.s_list, m_list, q_list)
+        rows = [(kind, s, anchor, m, q, v) for (s, m, q), v in zip(cells, values)]
         _write_csv(args.out, ("activation", "s", "anchor_q_star", "m", "q", "value"), rows)
     else:
-        cells = [(s, q, m) for s in args.s_list for q in q_grid for m in m_grid]
-
-        def cell_value(cell):
-            s, q, m = cell
-            return (kind, s, q, m, _sweep_value(args.quantity, kind, s, q, m))
-
-        rows = _parallel_map(cell_value, cells)
+        cells = itertools.product(args.s_list, q_list, m_list)
+        rows = [(kind, s, q, m, v) for (s, q, m), v in zip(cells, values)]
         _write_csv(args.out, ("activation", "s", "q_star", "m", "value"), rows)
 
     _emit_json(

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _moments, maps
+from . import maps
+from ._moments import _Kernel
 from .solver import EocInit
 
 
@@ -44,11 +45,20 @@ class NloState:
     q1: float
 
 
+def _innovation(k: _Kernel, sw2):
+    return sw2 * sw2 * (k.fourth - k.second * k.second)
+
+
+def _envelope(vp, vpp, inject):
+    """The bound of :func:`theorem1_bound` over arrays; nan unless 0 < V' < 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = 0.5 * np.abs(vpp) * np.abs(inject) / ((1.0 - vp) * (1.0 - vp) * (1.0 + vp))
+    return np.where((vp > 0.0) & (vp < 1.0), bound, np.nan)
+
+
 def fourth_moment_innovation(init: EocInit) -> float:
     """The constant injection term sw2^2 (E[phi^4] - E[phi^2]^2) at q*."""
-    m2 = _moments.second_moment(init.spec, init.q_star)
-    m4 = _moments.fourth_moment(init.spec, init.q_star)
-    return init.sw2 ** 2 * (m4 - m2 * m2)
+    return float(_innovation(_Kernel.at(init.spec, init.q_star), init.sw2))
 
 
 def nlo_trajectory(init: EocInit, depth: int) -> list[NloState]:
@@ -103,12 +113,12 @@ def theorem1_bound(init: EocInit) -> float:
     Requires 0 < V'(q*) < 1; the closed-form trajectory approaches this
     value from below as depth grows.
     """
+    k = _Kernel.at(init.spec, init.q_star)
     vp = init.v_prime_at_fp
-    if not 0.0 < vp < 1.0:
+    bound = float(_envelope(vp, k.v_prime2(init.sw2), _innovation(k, init.sw2)))
+    if math.isnan(bound):
         raise ValueError(f"bound requires 0 < V'(q*) < 1, got {vp}")
-    vpp = maps.v_prime2(init.spec, init.sw2, init.q_star)
-    inject = fourth_moment_innovation(init)
-    return 0.5 * abs(vpp) * abs(inject) / ((1.0 - vp) ** 2 * (1.0 + vp))
+    return bound
 
 
 def log_theorem1_bound(init: EocInit) -> float:

@@ -4,19 +4,8 @@ This module owns the scalar operator
 
     <f>_q = E[f(z)],  z ~ N(0, q),
 
-which every map and moment in the package is built on.  Two equivalent
-parameterisations of the operator are exposed because callers think in two
-different coordinate systems:
-
-* ``gauss_expect(f, q)`` evaluates f on N(0, q) samples directly, i.e.
-  (2*pi*q)^(-1/2) * integral f(z) exp(-z^2 / (2q)) dz.  The moment engine
-  and the finite-width recursions use this form.
-* ``gauss_expect_scaled_arg(f, q)`` evaluates integral f(sqrt(q) u) gamma(du)
-  against the standard-normal weight gamma.  The variance and correlation
-  maps are written in this form.
-
-The two are the same measure after the substitution z = sqrt(q) u and the
-test suite pins their agreement at machine precision.
+evaluated by ``gauss_expect(f, q)`` on N(0, q) samples directly, i.e.
+(2*pi*q)^(-1/2) * integral f(z) exp(-z^2 / (2q)) dz.
 
 Quadrature is Gauss-Hermite in the probabilists' convention by default.
 Activation integrands in this package are piecewise smooth with kinks, so
@@ -102,11 +91,16 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _check_variance(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise ValueError(f"variance must be positive and finite, got {q}")
-    return q
+def _check_q(q):
+    """A variance, or an array of them; each must be positive and finite.
+
+    Returns a float for scalar input and a float array otherwise.
+    """
+    arr = np.asarray(q, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        raise ValueError(f"variance must be positive and finite, got {arr[bad].flat[0]}")
+    return arr if arr.ndim else float(arr)
 
 
 def _segmented_expect(
@@ -158,7 +152,7 @@ def gauss_expect(
     coordinates of z) switches to segment-split panel quadrature, which is
     the accurate path for piecewise-defined activations.
     """
-    q = _check_variance(q)
+    q = _check_q(q)
     if rule is None:
         rule = default_rule()
     if kinks is not None:
@@ -168,22 +162,6 @@ def gauss_expect(
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value at a quadrature node")
     return float(np.dot(rule.weights, vals))
-
-
-def gauss_expect_scaled_arg(
-    f: Callable[[np.ndarray], np.ndarray],
-    q: float,
-    rule: QuadratureRule | None = None,
-    kinks: Sequence[float] | None = None,
-) -> float:
-    """Expectation of ``f(sqrt(q) u)`` against the standard-normal weight.
-
-    Identical to :func:`gauss_expect` after the substitution z = sqrt(q) u;
-    provided so that callers written against the scaled-argument convention
-    read naturally.  ``kinks`` is interpreted in the coordinates of f's
-    argument, exactly as in :func:`gauss_expect`.
-    """
-    return gauss_expect(f, q, rule=rule, kinks=kinks)
 
 
 def normal_cdf(x: float) -> float:

@@ -23,7 +23,6 @@ linear-region probability for every k and mu2 / mu1^2 = 1 / mu1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import _moments, maps
@@ -90,28 +89,3 @@ def jacobian_moments(init: EocInit, depth: int) -> JacobianMoments:
         mu1=mu1, mu2=mu2, m1=m1, m2=m2, sigma_jjt=sigma,
         s1=S1_GAUSSIAN_WEIGHTS, depth=depth,
     )
-
-
-def error_moment_trajectory(chi_values, widths, v0: float) -> list[float]:
-    """Second moment of the backpropagated error, layer by layer.
-
-    ``chi_values`` holds the per-layer growth factor chi1 evaluated at that
-    layer's variance and ``widths`` the per-layer widths.  Entry k of the
-    result is the moment after k layers, starting from v0, each step
-    multiplying by chi1 and by the width ratio (unity for equal widths):
-
-        v_k = v_{k-1} * chi_k * (N_k / N_{k-1}).
-    """
-    chi_values = [float(c) for c in chi_values]
-    widths = [float(w) for w in widths]
-    if len(widths) != len(chi_values):
-        raise ValueError("need one width per layer")
-    if any(w <= 0 for w in widths):
-        raise ValueError("widths must be positive")
-    if any(not math.isfinite(c) for c in chi_values):
-        raise ValueError("chi values must be finite")
-    out = [float(v0)]
-    for k, chi in enumerate(chi_values):
-        ratio = widths[k] / widths[k - 1] if k >= 1 else 1.0
-        out.append(out[-1] * chi * ratio)
-    return out

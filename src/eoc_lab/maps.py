@@ -12,8 +12,9 @@ per-layer growth factor of perturbations and backpropagated errors is
 
 and an initialisation is critical when chi1(q*) = 1 at the fixed point q* of
 V.  This module provides V and its first two q-derivatives, chi1 and its
-q-sensitivity, and R, all in closed form for the supported activations, with
-quadrature versions retained as independent cross-checks.
+q-sensitivity, and R.  V, V', V'', chi1 and chi1' are closed forms from the
+kernel in :mod:`eoc_lab._moments`; they accept a numpy array of q and
+return an array of the same shape, or a float for scalar q.
 
 Closed forms (one-sided family with threshold tau and clip m; the two-sided
 family is exactly twice each expression at identical parameters; relu is the
@@ -33,90 +34,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _moments
-from .activations import CST, RELU, ActivationSpec
-from .gaussian import QuadratureRule, default_rule, gauss_expect_scaled_arg
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise ValueError(f"variance must be positive and finite, got {q}")
-    return q
+from ._moments import _Kernel, _value
+from .activations import ActivationSpec
+from .gaussian import _check_q, default_rule, gauss_expect
 
 
-def _family_factor(spec: ActivationSpec) -> float:
-    return 2.0 if spec.kind == CST else 1.0
-
-
-def v_map(spec: ActivationSpec, sw2: float, sb2: float, q: float) -> float:
+def v_map(spec: ActivationSpec, sw2: float, sb2: float, q):
     """One-layer update V(q) of the pre-activation second moment."""
-    q = _check_q(q)
-    return sw2 * _moments.second_moment(spec, q) + sb2
+    return _value(_Kernel.at(spec, q).v(sw2, sb2))
 
 
-def v_map_quadrature(
-    spec: ActivationSpec,
-    sw2: float,
-    sb2: float,
-    q: float,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """V(q) by segment-split quadrature of the defining integral.
-
-    Slower than :func:`v_map`; kept as the independent route the tests hold
-    the closed form against.
-    """
-    q = _check_q(q)
-    moment = gauss_expect_scaled_arg(
-        lambda z: spec.evaluate(z) ** 2, q, rule=rule, kinks=spec.kinks()
-    )
-    return sw2 * moment + sb2
-
-
-def chi1(spec: ActivationSpec, sw2: float, q: float) -> float:
+def chi1(spec: ActivationSpec, sw2: float, q):
     """Per-layer multiplicative growth factor sw2 * E[phi'(sqrt(q) u)^2]."""
-    q = _check_q(q)
-    return sw2 * _moments.linear_region_probability(spec, q)
+    return _value(_Kernel.at(spec, q).chi1(sw2))
 
 
-def v_prime(spec: ActivationSpec, sw2: float, q: float) -> float:
+def v_prime(spec: ActivationSpec, sw2: float, q):
     """dV/dq in closed form."""
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 0.5 * sw2
-    tau, m = spec.tau, spec.m
-    clip_term = sw2 * m / math.sqrt(2.0 * math.pi * q) * math.exp(
-        -((tau + m) ** 2) / (2.0 * q)
-    )
-    return chi1(spec, sw2, q) - _family_factor(spec) * clip_term
+    return _value(_Kernel.at(spec, q).v_prime(sw2))
 
 
-def chi1_prime(spec: ActivationSpec, sw2: float, q: float) -> float:
+def chi1_prime(spec: ActivationSpec, sw2: float, q):
     """d(chi1)/dq in closed form; identically 0 for relu."""
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 0.0
-    tau, m = spec.tau, spec.m
-    e_tau = tau * math.exp(-(tau * tau) / (2.0 * q))
-    e_clip = (tau + m) * math.exp(-((tau + m) ** 2) / (2.0 * q))
-    return _family_factor(spec) * sw2 / math.sqrt(8.0 * math.pi * q ** 3) * (e_tau - e_clip)
+    return _value(_Kernel.at(spec, q).chi1_prime(sw2))
 
 
-def v_prime2(spec: ActivationSpec, sw2: float, q: float) -> float:
+def v_prime2(spec: ActivationSpec, sw2: float, q):
     """d^2 V / dq^2 in closed form; identically 0 for relu."""
-    q = _check_q(q)
-    if spec.kind == RELU:
-        return 0.0
-    tau, m = spec.tau, spec.m
-    em = math.exp(-((tau + m) ** 2) / (2.0 * q))
-    et = math.exp(-(tau * tau) / (2.0 * q))
-    bracket = tau * et - (tau + m) * em + m * (1.0 - (tau + m) ** 2 / q) * em
-    return _family_factor(spec) * sw2 / math.sqrt(8.0 * math.pi * q ** 3) * bracket
+    return _value(_Kernel.at(spec, q).v_prime2(sw2))
 
 
 @dataclass(frozen=True)
@@ -142,35 +88,15 @@ class MapDiagnostics:
 
 
 def diagnostics(spec: ActivationSpec, sw2: float, sb2: float, q: float) -> MapDiagnostics:
-    """All five scalar diagnostics at q, sharing one set of exponentials."""
-    q = _check_q(q)
+    """All five scalar diagnostics at q, from one kernel evaluation."""
+    k = _Kernel.at(spec, q)
     return MapDiagnostics(
-        q=q,
-        V=v_map(spec, sw2, sb2, q),
-        Vprime=v_prime(spec, sw2, q),
-        Vprimeprime=v_prime2(spec, sw2, q),
-        chi1=chi1(spec, sw2, q),
-        chi1prime=chi1_prime(spec, sw2, q),
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """A single evaluation of the two-input correlation map."""
-
-    rho: float
-    R: float
-    q_star: float
-
-
-def correlation_point(
-    spec: ActivationSpec, sw2: float, sb2: float, q_star: float, rho: float
-) -> CorrelationPoint:
-    """Evaluate the correlation map once and package the result."""
-    return CorrelationPoint(
-        rho=float(rho),
-        R=correlation_map_precise(spec, sw2, sb2, q_star, rho),
-        q_star=float(q_star),
+        q=_value(k.q),
+        V=_value(k.v(sw2, sb2)),
+        Vprime=_value(k.v_prime(sw2)),
+        Vprimeprime=_value(k.v_prime2(sw2)),
+        chi1=_value(k.chi1(sw2)),
+        chi1prime=_value(k.chi1_prime(sw2)),
     )
 
 
@@ -179,46 +105,6 @@ def _check_rho(rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
     return rho
-
-
-def correlation_map(
-    spec: ActivationSpec,
-    sw2: float,
-    sb2: float,
-    q_star: float,
-    rho: float,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """One-layer update R(rho) of the correlation between two inputs.
-
-    R(rho) = (sw2 * E[phi(u1) phi(u2)] + sb2) / q_star with
-    u1 = sqrt(q*) z1 and u2 = sqrt(q*) (rho z1 + sqrt(1 - rho^2) z2) for
-    independent standard normals z1, z2.  Evaluated with a tensor product of
-    the 1D rule; |rho| = 1 degenerates the double integral and is handled by
-    the exact 1D limit instead.
-    """
-    rho = _check_rho(rho)
-    q_star = _check_q(q_star)
-    if rule is None:
-        rule = default_rule()
-    sq = math.sqrt(q_star)
-    if rho == 1.0:
-        return v_map(spec, sw2, sb2, q_star) / q_star
-    if rho == -1.0:
-        moment = gauss_expect_scaled_arg(
-            lambda z: spec.evaluate(z) * spec.evaluate(-z),
-            q_star,
-            rule=rule,
-            kinks=spec.kinks(),
-        )
-        return (sw2 * moment + sb2) / q_star
-    z1 = rule.nodes[:, None]
-    z2 = rule.nodes[None, :]
-    w = rule.weights[:, None] * rule.weights[None, :]
-    u1 = sq * z1
-    u2 = sq * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
-    moment = float(np.sum(w * spec.evaluate(u1) * spec.evaluate(u2)))
-    return (sw2 * moment + sb2) / q_star
 
 
 def correlation_map_precise(
@@ -239,8 +125,13 @@ def correlation_map_precise(
     """
     rho = _check_rho(rho)
     q_star = _check_q(q_star)
-    if abs(rho) == 1.0:
-        return correlation_map(spec, sw2, sb2, q_star, rho)
+    if rho == 1.0:
+        return v_map(spec, sw2, sb2, q_star) / q_star
+    if rho == -1.0:
+        # phi(z) phi(-z) is -phi(z)^2 for the odd family and vanishes for the
+        # others, whose threshold is nonnegative
+        moment = -_moments.second_moment(spec, q_star) if spec.odd else 0.0
+        return (sw2 * moment + sb2) / q_star
     sq = math.sqrt(q_star)
     sigma = sq * math.sqrt(1.0 - rho * rho)
 
@@ -258,7 +149,7 @@ def correlation_map_precise(
             halfwidth = 10.0 * sigma / abs(rho)
             split_points += [center - halfwidth, center, center + halfwidth]
 
-    moment = gauss_expect_scaled_arg(
+    moment = gauss_expect(
         integrand, q_star, rule=default_rule(order), kinks=split_points
     )
     return (sw2 * moment + sb2) / q_star

@@ -19,10 +19,12 @@ convention for both clipped families: the residual
 
 with t = sqrt(q) Phi^{-1}(s), is what the reference parameter grids for both
 families were generated from, so both families share the same solved m at
-equal (s, target, q*).  The two-sided family then receives its own threshold
-tau = sqrt(2 q*) erfinv(s) and gain, which means its achieved slope at q*
-differs from the nominal target; the achieved value is what is stored in
-``v_prime_at_fp``.
+equal (s, target, q*).  The residual depends on m only through
+x = m / sqrt(q*) and on s only through a = Phi^{-1}(s), so the root is found
+in x and scaled back, which makes the solve the same at every q*.  The
+two-sided family then receives its own threshold tau = sqrt(2 q*) erfinv(s)
+and gain, which means its achieved slope at q* differs from the nominal
+target; the achieved value is what is stored in ``v_prime_at_fp``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import _moments, maps
+from . import maps
+from ._moments import _Kernel, _value
 from .activations import CRELU, CST, RELU, ActivationSpec
 from .config import DEFAULT_TOLERANCES
-from .gaussian import erf_inv, normal_quantile
+from .gaussian import _check_q, erf_inv, normal_quantile
 
-M_BRACKET = (1e-4, 50.0)
+# bracket of the clip level in units of sqrt(q*), x = m / sqrt(q*)
+X_BRACKET = (1e-4, 50.0)
+
+# the conditions a critical initialisation must meet, in the order they are
+# checked; _failure indexes into this tuple
+_INFEASIBLE = (
+    "activation is fully saturated; chi1 cannot reach 1",
+    "required bias variance is negative ({sb2:.6g}); "
+    "the fixed point q*={q_star} is unreachable for this activation",
+    "chi1(q*) = {chi1!r} deviates from 1 beyond {tol}",
+    "V(q*) = {v!r} deviates from q* beyond {tol}",
+)
+_SATURATED = 0
 
 
 class InfeasibleTargetError(ValueError):
@@ -84,92 +99,127 @@ class EocInit:
         )
 
 
-def sparsity_threshold(kind: str, s: float, q_star: float) -> float:
+def sparsity_threshold(kind: str, s: float, q_star):
     """Threshold inducing zero-activation rate s at variance q*.
 
-    One-sided family: sqrt(q*) Phi^{-1}(s).  Two-sided family:
-    sqrt(2 q*) erfinv(s).  relu has no threshold and pins s = 1/2.
+    One-sided family: sqrt(q*) Phi^{-1}(s), which is negative below s = 1/2,
+    so crelu needs s >= 1/2.  Two-sided family: sqrt(2 q*) erfinv(s).  relu
+    has no threshold and pins s = 1/2.  ``q_star`` may be an array.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"sparsity must lie in (0, 1), got {s}")
-    if q_star <= 0.0:
-        raise ValueError(f"q_star must be positive, got {q_star}")
+    q_star = _check_q(q_star)
     if kind == CRELU:
-        return math.sqrt(q_star) * normal_quantile(s)
+        if s < 0.5:
+            raise ValueError(
+                f"crelu needs sparsity s >= 0.5, got s={s}: below 0.5 its "
+                f"threshold sqrt(q*) Phi^-1(s) would be negative"
+            )
+        return _value(np.sqrt(q_star) * normal_quantile(s))
     if kind == CST:
-        return math.sqrt(2.0 * q_star) * erf_inv(s)
+        return _value(np.sqrt(2.0 * q_star) * erf_inv(s))
     if kind == RELU:
         return 0.0
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
+def _critical(k: _Kernel, q_star):
+    """Gain and bias variance of the critical initialisation, per cell.
+
+    ``k`` is the kernel at q*; sw2 = 1 / P(phi' = 1) makes chi1(q*) = 1 and
+    sb2 = q* - sw2 E[phi^2] places the fixed point.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sw2 = 1.0 / k.linear
+        return sw2, q_star - sw2 * k.second
+
+
+def _failure(k: _Kernel, sw2, sb2, q_star, tol: float | None = None):
+    """Index into _INFEASIBLE of the first condition each cell breaks.
+
+    Everything broadcasts over the arrays of ``k``, the kernel at q*, and
+    cells that meet every condition read -1.  The solver raises from this
+    predicate and the sweep masks with it, so both apply the same rules.
+    """
+    tol = DEFAULT_TOLERANCES.fixed_point if tol is None else tol
+    with np.errstate(invalid="ignore"):
+        return np.select(
+            [
+                np.logical_not(k.linear > 0.0),
+                sb2 < 0.0,
+                np.abs(k.chi1(sw2) - 1.0) > tol,
+                np.abs(k.v(sw2, sb2) - q_star) > tol * np.maximum(1.0, q_star),
+            ],
+            range(len(_INFEASIBLE)),
+            -1,
+        )
+
+
+def _check_feasible(k: _Kernel, sw2, sb2, q_star, tol: float | None = None) -> None:
+    tol = DEFAULT_TOLERANCES.fixed_point if tol is None else tol
+    failure = int(_failure(k, sw2, sb2, q_star, tol))
+    if failure < 0:
+        return
+    with np.errstate(invalid="ignore"):
+        chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
+    raise InfeasibleTargetError(
+        _INFEASIBLE[failure].format(sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=tol)
+    )
+
+
 def critical_gain(spec: ActivationSpec, q_star: float) -> float:
     """The weight variance making chi1(q*) = 1, in closed form."""
-    p = _moments.linear_region_probability(spec, q_star)
-    if p <= 0.0:
-        raise InfeasibleTargetError("activation is fully saturated; chi1 cannot reach 1")
-    return 1.0 / p
+    k = _Kernel.at(spec, q_star)
+    sw2, sb2 = _critical(k, q_star)
+    if _failure(k, sw2, sb2, q_star) == _SATURATED:
+        raise InfeasibleTargetError(_INFEASIBLE[_SATURATED])
+    return float(sw2)
 
 
-def _slope_residual(t: float, m: float, q: float, target: float) -> float:
-    """Slope-at-fixed-point minus target, one-sided threshold convention."""
-    denom = math.erf((t + m) / math.sqrt(2.0 * q)) - math.erf(t / math.sqrt(2.0 * q))
-    deficit = (
-        2.0 * m / math.sqrt(2.0 * math.pi * q) * math.exp(-((t + m) ** 2) / (2.0 * q)) / denom
-    )
-    return (1.0 - deficit) - target
+def _slope_residual(a: float, x: float, target: float) -> float:
+    """Slope-at-fixed-point minus target, one-sided threshold convention.
+
+    ``a`` is Phi^{-1}(s) and ``x`` the clip level in units of sqrt(q*).
+    """
+    return float(_Kernel(CRELU, a, x, 1.0).slope_ratio) - target
 
 
 def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
-    t = math.sqrt(q_star) * normal_quantile(s)
-    lo, hi = M_BRACKET
-    f_lo = _slope_residual(t, lo, q_star, v_prime_target)
-    f_hi = _slope_residual(t, hi, q_star, v_prime_target)
-    if f_lo * f_hi > 0.0:
+    a = normal_quantile(s)
+    lo, hi = X_BRACKET
+    if _slope_residual(a, lo, v_prime_target) * _slope_residual(a, hi, v_prime_target) > 0.0:
         raise InfeasibleTargetError(
-            f"no clip level in ({lo}, {hi}) achieves slope {v_prime_target} "
-            f"at s={s}, q*={q_star}"
+            f"no clip level m = x sqrt(q*) with x in ({lo}, {hi}) achieves slope "
+            f"{v_prime_target} at s={s}, q*={q_star}"
         )
-    return float(
-        brentq(
-            lambda m: _slope_residual(t, m, q_star, v_prime_target),
-            lo,
-            hi,
-            xtol=DEFAULT_TOLERANCES.root_xtol,
-            rtol=8.9e-16,
-        )
+    x = brentq(
+        lambda x: _slope_residual(a, x, v_prime_target),
+        lo,
+        hi,
+        xtol=DEFAULT_TOLERANCES.root_xtol,
+        rtol=8.9e-16,
     )
+    return math.sqrt(q_star) * float(x)
 
 
 def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
-    sw2 = critical_gain(spec, q_star)
-    sb2 = q_star - sw2 * _moments.second_moment(spec, q_star)
-    if sb2 < 0.0:
-        raise InfeasibleTargetError(
-            f"required bias variance is negative ({sb2:.6g}); "
-            f"the fixed point q*={q_star} is unreachable for this activation"
-        )
-    init = EocInit(
+    k = _Kernel.at(spec, q_star)
+    sw2, sb2 = _critical(k, q_star)
+    _check_feasible(k, sw2, sb2, q_star)
+    return EocInit(
         spec=spec,
         q_star=q_star,
-        sw2=sw2,
-        sb2=sb2,
+        sw2=float(sw2),
+        sb2=float(sb2),
         s=s,
-        v_prime_at_fp=maps.v_prime(spec, sw2, q_star),
+        v_prime_at_fp=float(k.v_prime(sw2)),
     )
-    validate_init(init)
-    return init
 
 
 def validate_init(init: EocInit, tol: float | None = None) -> None:
     """Check both criticality conditions; raises on violation."""
-    tol = DEFAULT_TOLERANCES.fixed_point if tol is None else tol
-    c = maps.chi1(init.spec, init.sw2, init.q_star)
-    v = maps.v_map(init.spec, init.sw2, init.sb2, init.q_star)
-    if abs(c - 1.0) > tol:
-        raise InfeasibleTargetError(f"chi1(q*) = {c!r} deviates from 1 beyond {tol}")
-    if abs(v - init.q_star) > tol * max(1.0, init.q_star):
-        raise InfeasibleTargetError(f"V(q*) = {v!r} deviates from q* beyond {tol}")
+    k = _Kernel.at(init.spec, init.q_star)
+    _check_feasible(k, init.sw2, init.sb2, init.q_star, tol)
 
 
 def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> EocInit:
@@ -184,15 +234,10 @@ def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> Eoc
         )
     if kind not in (CRELU, CST):
         raise ValueError(f"unknown activation kind {kind!r}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"sparsity must lie in (0, 1), got {s}")
     if not 0.0 < v_prime_target < 1.0:
         raise ValueError(f"slope target must lie in (0, 1), got {v_prime_target}")
-    if q_star <= 0.0:
-        raise ValueError(f"q_star must be positive, got {q_star}")
-
-    m = _solve_clip_level(s, q_star, v_prime_target)
     tau = sparsity_threshold(kind, s, q_star)
+    m = _solve_clip_level(s, q_star, v_prime_target)
     spec = ActivationSpec(kind, tau, m)
     return _finish_init(spec, s, q_star)
 
@@ -216,8 +261,6 @@ def relu_init(q_star: float) -> EocInit:
     V(q) = q holds identically, so every variance is a (marginal) fixed
     point and the stored q* only anchors input scaling downstream.
     """
-    if q_star <= 0.0:
-        raise ValueError(f"q_star must be positive, got {q_star}")
     spec = ActivationSpec.relu()
     init = EocInit(
         spec=spec, q_star=q_star, sw2=2.0, sb2=0.0, s=0.5, v_prime_at_fp=1.0
@@ -274,11 +317,11 @@ def find_fixed_points(
 
     spec, sw2, sb2 = init.spec, init.sw2, init.sb2
 
-    def resid(q: float) -> float:
+    def resid(q):
         return maps.v_map(spec, sw2, sb2, q) - q
 
     qs = np.linspace(lo, hi, grid + 1)
-    vals = np.array([resid(q) for q in qs])
+    vals = resid(qs)
 
     tol_line = 1e-9 * max(1.0, hi)
     if np.all(np.abs(vals) <= tol_line):

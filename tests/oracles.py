@@ -1,0 +1,41 @@
+"""Quadrature routes the closed forms are held against.
+
+They evaluate the defining integrals directly, independently of the kernel
+in ``eoc_lab._moments``, and are slower and (for the tensor rule) coarser
+than the library's closed forms.
+"""
+
+import math
+
+import numpy as np
+
+from eoc_lab.gaussian import default_rule, gauss_expect
+from eoc_lab.maps import correlation_map_precise
+
+
+def v_map_quadrature(spec, sw2, sb2, q, rule=None):
+    """V(q) by segment-split quadrature of the defining integral."""
+    moment = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, rule=rule, kinks=spec.kinks())
+    return sw2 * moment + sb2
+
+
+def correlation_map(spec, sw2, sb2, q_star, rho, rule=None):
+    """R(rho) by a tensor product of the 1D Hermite rule.
+
+    R(rho) = (sw2 * E[phi(u1) phi(u2)] + sb2) / q_star with
+    u1 = sqrt(q*) z1 and u2 = sqrt(q*) (rho z1 + sqrt(1 - rho^2) z2) for
+    independent standard normals z1, z2.  |rho| = 1 degenerates the double
+    integral; those limits, and the domain check, are the library's.
+    """
+    if abs(rho) >= 1.0:
+        return correlation_map_precise(spec, sw2, sb2, q_star, rho)
+    if rule is None:
+        rule = default_rule()
+    sq = math.sqrt(q_star)
+    z1 = rule.nodes[:, None]
+    z2 = rule.nodes[None, :]
+    w = rule.weights[:, None] * rule.weights[None, :]
+    u1 = sq * z1
+    u2 = sq * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
+    moment = float(np.sum(w * spec.evaluate(u1) * spec.evaluate(u2)))
+    return (sw2 * moment + sb2) / q_star

@@ -3,10 +3,20 @@ exit codes and determinism."""
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+
+from eoc_lab import cli, finite_width, maps
+from eoc_lab.activations import ActivationSpec
+from eoc_lab.solver import (
+    InfeasibleTargetError,
+    critical_gain,
+    init_from_m,
+    sparsity_threshold,
+)
 
 SOLVE = [sys.executable, "-m", "eoc_lab"]
 
@@ -63,13 +73,33 @@ class TestSolve:
         assert doc["nlo_bound"] is None
 
     def test_infeasible_target_exit_code(self):
-        # the clip level scales like sqrt(q*), so a huge q* pushes the root
-        # past the solver's bracket: a real infeasible-target outcome
+        # a slope this close to 0 needs a clip level m / sqrt(q*) of about
+        # 1e-8, below the solver's bracket: a real infeasible-target outcome
         proc = run_cli(["solve", "--activation", "crelu", "-s", "0.6",
-                        "--qstar", "10000", "--vprime", "0.9"])
+                        "--qstar", "1", "--vprime", "1e-9"])
         assert proc.returncode == 2
         doc = json.loads(proc.stdout)
         assert doc["error"]["type"] == "infeasible_target"
+
+    def test_clip_level_scales_with_sqrt_q_star(self):
+        """The slope equation depends on m only through m / sqrt(q*), so the
+        solve succeeds at every q* and gives the same ratio."""
+        ratios = []
+        for q_star in ("1e-4", "1", "1e4"):
+            proc = run_cli(["solve", "--activation", "crelu", "-s", "0.5",
+                            "--qstar", q_star, "--vprime", "0.5"])
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            init = json.loads(proc.stdout)["init"]
+            ratios.append(init["activation"]["m"] / math.sqrt(init["q_star"]))
+        assert ratios[1] == pytest.approx(1.39998527687, abs=1e-10)
+        for ratio in ratios:
+            assert ratio == pytest.approx(ratios[1], rel=1e-10)
+
+    def test_crelu_sparsity_floor_named(self):
+        proc = run_cli(["solve", "--activation", "crelu", "-s", "0.3",
+                        "--qstar", "1", "--vprime", "0.5"])
+        assert proc.returncode == 1
+        assert "crelu needs sparsity s >= 0.5, got s=0.3" in proc.stderr
 
     def test_invalid_values_are_usage_errors(self):
         proc = run_cli(["solve", "--activation", "relu", "--qstar", "-1"])
@@ -127,6 +157,61 @@ class TestSweep:
             )
         assert crossings[1.2] == 1
         assert crossings[2.0] >= 2
+
+    @pytest.mark.parametrize("quantity,kind,q_range", [
+        ("Vprime", "crelu", "0.5:3:4"),
+        ("Vprimeprime", "crelu", "0.5:3:4"),
+        ("chi1prime", "cst", "0.5:3:4"),
+        # the low-q* corner of this grid is infeasible
+        ("nlo_bound", "cst", "0.09:3:6"),
+        ("vmap_curve", "crelu", "0.1:5:7"),
+    ])
+    def test_array_sweep_matches_scalar_calls(self, tmp_path, capsys, quantity, kind, q_range):
+        """Every cell of the whole-grid sweep equals the scalar public calls
+        to 1e-12 relative, and its nan cells are exactly the infeasible ones."""
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["sweep", "--quantity", quantity, "--activation", kind,
+                       "--sparsity", "0.6,0.8", "--qstar-range", q_range,
+                       "--m-range", "0.5:3:6", "--qstar", "1.3", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+
+        def scalar(s, q, m, anchor):
+            if quantity == "vmap_curve":
+                try:
+                    init = init_from_m(kind, s, anchor, m)
+                except InfeasibleTargetError:
+                    return math.nan
+                return maps.v_map(init.spec, init.sw2, init.sb2, q)
+            if quantity == "nlo_bound":
+                try:
+                    return finite_width.theorem1_bound(init_from_m(kind, s, q, m))
+                except ValueError:
+                    return math.nan
+            spec = ActivationSpec(kind, sparsity_threshold(kind, s, q), m)
+            try:
+                sw2 = critical_gain(spec, q)
+            except InfeasibleTargetError:
+                return math.nan
+            fn = {"Vprime": maps.v_prime, "Vprimeprime": maps.v_prime2,
+                  "chi1prime": maps.chi1_prime}[quantity]
+            return fn(spec, sw2, q)
+
+        rows = read_csv(out)
+        assert len(rows) == 2 * 6 * int(q_range.split(":")[2])
+        nan_cells = 0
+        for row in rows:
+            s, m, value = float(row["s"]), float(row["m"]), float(row["value"])
+            if quantity == "vmap_curve":
+                expected = scalar(s, float(row["q"]), m, float(row["anchor_q_star"]))
+            else:
+                expected = scalar(s, float(row["q_star"]), m, None)
+            assert math.isnan(value) == math.isnan(expected), row
+            if math.isnan(value):
+                nan_cells += 1
+            else:
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0), row
+        assert (nan_cells > 0) == (quantity == "nlo_bound")
 
     def test_usage_error_on_missing_range(self):
         proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
@@ -228,26 +313,6 @@ class TestTrainCommand:
         assert proc.returncode == 3
         doc = json.loads(proc.stdout)
         assert doc["report"]["diverged"] is True
-
-
-class TestThreadCap:
-    def test_parallel_sweep_output_identical(self, tmp_path):
-        """EOC_LAB_THREADS reorders work, never output."""
-        import os
-
-        args = ["sweep", "--quantity", "Vprime", "--activation", "crelu",
-                "--sparsity", "0.85,0.9", "--qstar-range", "0.5:3:7",
-                "--m-range", "0.5:2.5:7", "--out", None]
-        payloads = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"grid-{threads}.csv"
-            concrete = [str(out) if a is None else a for a in args]
-            env = dict(os.environ, EOC_LAB_THREADS=threads)
-            proc = subprocess.run(SOLVE + concrete, capture_output=True, text=True,
-                                  env=env, timeout=600)
-            assert proc.returncode == 0
-            payloads.append(out.read_text())
-        assert payloads[0] == payloads[1]
 
 
 class TestConfigFile:

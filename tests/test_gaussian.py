@@ -13,7 +13,6 @@ from eoc_lab.gaussian import (
     erf,
     erf_inv,
     gauss_expect,
-    gauss_expect_scaled_arg,
     normal_cdf,
     normal_quantile,
 )
@@ -72,13 +71,6 @@ class TestGaussExpect:
 
     def test_variance_scales(self):
         assert gauss_expect(lambda z: z * z, 3.7) == pytest.approx(3.7, rel=1e-12)
-
-    def test_conventions_agree(self):
-        spec = ActivationSpec.crelu(0.4, 1.1)
-        for q in (0.3, 1.0, 2.5):
-            a = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, kinks=spec.kinks())
-            b = gauss_expect_scaled_arg(lambda z: spec.evaluate(z) ** 2, q, kinks=spec.kinks())
-            assert a == b
 
     def test_odd_integrands_vanish(self):
         odd_fns = [

@@ -1,4 +1,4 @@
-"""Tests of the Jacobian spectral moments and the error-moment product."""
+"""Tests of the Jacobian spectral moments and of simulated growth factors."""
 
 import math
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from eoc_lab.gaussian import gauss_expect
-from eoc_lab.jacobian import (
-    S1_GAUSSIAN_WEIGHTS,
-    error_moment_trajectory,
-    jacobian_moments,
-)
+from eoc_lab.jacobian import S1_GAUSSIAN_WEIGHTS, jacobian_moments
 from eoc_lab.simulator import SimConfig, run_forward
 from eoc_lab.solver import EocInit, init_from_m, relu_init, solve_init
 
@@ -87,32 +83,10 @@ class TestSpectralMoments:
 
 
 class TestErrorMomentTrajectory:
-    def test_unit_growth_is_flat(self):
-        out = error_moment_trajectory([1.0] * 30, [64] * 30, v0=1.0)
-        assert out == [1.0] * 31
-
-    def test_constant_growth_is_geometric(self):
-        out = error_moment_trajectory([1.1] * 50, [64] * 50, v0=2.0)
-        assert out[-1] / out[0] == pytest.approx(1.1 ** 50, rel=1e-12)
-
-    def test_width_ratios_enter_once(self):
-        out = error_moment_trajectory([1.0, 1.0], [10, 20], v0=1.0)
-        assert out == [1.0, 1.0, 2.0]
-
     def test_simulated_growth_factors_explode_at_wide_clip(self):
         """Growth factors read off a narrow network at a wide-clip unstable
         initialisation accumulate into an exploding product by depth 100."""
         init = init_from_m("crelu", 0.85, 1.0, 2.0)
         config = SimConfig(init=init, depth=100, width=64, batch=8, seed=5)
         stats = run_forward(config)
-        chis = [st.chi1_hat for st in stats]
-        out = error_moment_trajectory(chis, [config.width] * len(chis), v0=1.0)
-        assert out[-1] > 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            error_moment_trajectory([1.0], [10, 20], v0=1.0)
-        with pytest.raises(ValueError):
-            error_moment_trajectory([math.inf], [10], v0=1.0)
-        with pytest.raises(ValueError):
-            error_moment_trajectory([1.0], [0], v0=1.0)
+        assert math.prod(st.chi1_hat for st in stats) > 10.0

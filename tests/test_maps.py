@@ -12,17 +12,16 @@ from eoc_lab.gaussian import default_rule
 from eoc_lab.maps import (
     chi1,
     chi1_prime,
-    correlation_map,
     correlation_map_precise,
     diagnostics,
     v_map,
-    v_map_quadrature,
     v_prime,
     v_prime2,
 )
 from eoc_lab.solver import init_from_m, solve_init
 
 from conftest import gaussian_mc
+from oracles import correlation_map, v_map_quadrature
 
 
 def random_cases(n, seed, kinds=("crelu", "cst")):
@@ -63,6 +62,26 @@ class TestVarianceMap:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             v_map(ActivationSpec.relu(), 2.0, 0.0, -1.0)
+
+
+class TestArrayInput:
+    def test_array_q_matches_scalar_calls(self):
+        """An ndarray of q gives the array of the scalar results, exactly;
+        a scalar q gives a Python float."""
+        qs = np.array([0.05, 0.3, 1.0, 2.7, 40.0])
+        specs = [ActivationSpec.relu(), ActivationSpec.crelu(0.4, 1.3), ActivationSpec.cst(0.7, 0.9)]
+        for spec in specs:
+            for fn, args in ((v_map, (1.7, 0.2)), (chi1, (1.7,)), (v_prime, (1.7,)),
+                             (chi1_prime, (1.7,)), (v_prime2, (1.7,))):
+                values = fn(spec, *args, qs)
+                assert isinstance(values, np.ndarray) and values.shape == qs.shape
+                scalars = [fn(spec, *args, float(q)) for q in qs]
+                assert all(type(v) is float for v in scalars)
+                assert values.tolist() == scalars
+
+    def test_invalid_entry_rejected(self):
+        with pytest.raises(ValueError, match="got -1.0"):
+            v_map(ActivationSpec.crelu(0.4, 1.3), 1.7, 0.2, np.array([1.0, -1.0]))
 
 
 class TestDerivativeClosedForms:
@@ -226,14 +245,6 @@ class TestCorrelationMap:
         init = solve_init("crelu", 0.85, 1.0, 0.7)
         with pytest.raises(ValueError):
             correlation_map(init.spec, init.sw2, init.sb2, init.q_star, 1.2)
-
-    def test_correlation_point_record(self):
-        from eoc_lab.maps import correlation_point
-
-        init = solve_init("crelu", 0.85, 2.0, 0.7)
-        point = correlation_point(init.spec, init.sw2, init.sb2, init.q_star, 1.0)
-        assert point.q_star == 2.0 and point.rho == 1.0
-        assert point.R == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSensitivityAcrossFixedPoints:

@@ -140,11 +140,10 @@ class TestSolveInit:
                     assert init.sb2 >= 0.0
 
     def test_negative_bias_variance_branch_raises(self, monkeypatch):
-        import eoc_lab.solver as solver_mod
+        from eoc_lab import _moments
 
-        monkeypatch.setattr(
-            solver_mod._moments, "second_moment", lambda spec, q: 1e9
-        )
+        # E[phi^2] is the kernel's ``second``; inflate it past what sw2 allows
+        monkeypatch.setattr(_moments._Kernel, "second", property(lambda self: 1e9))
         with pytest.raises(InfeasibleTargetError, match="negative"):
             init_from_m("crelu", 0.6, 1.0, 1.0)
 
