@@ -37,10 +37,9 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .activations import CRELU, CST, RELU, ActivationSpec
-from .gaussian import _check_q
+from .gaussian import _check_q, normal_cdf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -71,8 +70,10 @@ class _Kernel:
         self.b = (tau + m) / self.sq
         self.x = m / self.sq
         self.ga, self.gb = _pdf(self.a), _pdf(self.b)
-        self.i0 = ndtr(self.b) - ndtr(self.a)
-        self.tail = ndtr(-self.b)
+        # np.subtract keeps i0 a numpy scalar on scalar input, so 1 / i0 at
+        # a saturated cell follows numpy's division rules like the arrays do
+        self.i0 = np.subtract(normal_cdf(self.b), normal_cdf(self.a))
+        self.tail = normal_cdf(-self.b)
 
     @classmethod
     def at(cls, spec: ActivationSpec, q) -> "_Kernel":
@@ -205,7 +206,7 @@ def first_moment_shifted(spec: ActivationSpec, mu, sigma: float):
     mu = np.asarray(mu, dtype=float)
     if spec.kind == RELU:
         alpha = -mu / sigma
-        return mu * ndtr(-alpha) + sigma * _pdf(alpha)
+        return mu * normal_cdf(-alpha) + sigma * _pdf(alpha)
     var = sigma * sigma
     pos = _Kernel(CRELU, spec.tau - mu, spec.m, var).first
     if spec.kind == CRELU:

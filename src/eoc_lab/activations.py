@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import normal_cdf
+
 RELU = "relu"
 CRELU = "crelu"
 CST = "cst"
@@ -116,15 +118,13 @@ class ActivationSpec:
 
     def zero_probability(self, q: float) -> float:
         """P(activation output is exactly 0) for an N(0, q) input."""
-        from scipy.special import erf, ndtr
-
         if q <= 0.0:
             raise ValueError("variance must be positive")
         if self.kind == RELU:
             return 0.5
         if self.kind == CRELU:
-            return float(ndtr(self.tau / math.sqrt(q)))
-        return float(erf(self.tau / math.sqrt(2.0 * q)))
+            return normal_cdf(self.tau / math.sqrt(q))
+        return math.erf(self.tau / math.sqrt(2.0 * q))
 
     def to_dict(self) -> dict:
         if self.kind == RELU:

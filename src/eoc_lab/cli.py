@@ -63,6 +63,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    # exact types first: a sweep formats one Python float per cell
+    if type(value) is float:
+        return repr(value)
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
@@ -212,15 +217,19 @@ def _cmd_sweep(args) -> int:
     values = []
     for s in args.s_list:
         values += _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor)
-    q_list, m_list = q_grid.tolist(), m_grid.tolist()
+    # each axis value is formatted once; a row is its joined coordinates
+    # followed by the cell's value
+    s_txt = [_fmt(s) for s in args.s_list]
+    q_txt = [_fmt(q) for q in q_grid.tolist()]
+    m_txt = [_fmt(m) for m in m_grid.tolist()]
     if args.quantity == "vmap_curve":
-        cells = itertools.product(args.s_list, m_list, q_list)
-        rows = [(kind, s, anchor, m, q, v) for (s, m, q), v in zip(cells, values)]
-        _write_csv(args.out, ("activation", "s", "anchor_q_star", "m", "q", "value"), rows)
+        header = ("activation", "s", "anchor_q_star", "m", "q", "value")
+        cells = itertools.product([kind], s_txt, [_fmt(anchor)], m_txt, q_txt)
     else:
-        cells = itertools.product(args.s_list, q_list, m_list)
-        rows = [(kind, s, q, m, v) for (s, q, m), v in zip(cells, values)]
-        _write_csv(args.out, ("activation", "s", "q_star", "m", "value"), rows)
+        header = ("activation", "s", "q_star", "m", "value")
+        cells = itertools.product([kind], s_txt, q_txt, m_txt)
+    rows = [(",".join(cell), v) for cell, v in zip(cells, values)]
+    _write_csv(args.out, header, rows)
 
     _emit_json(
         {

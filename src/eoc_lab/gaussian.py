@@ -13,21 +13,30 @@ Activation integrands in this package are piecewise smooth with kinks, so
 integral is evaluated segment by segment with composite Gauss-Legendre
 panels, which restores spectral accuracy that a global Hermite rule loses on
 non-smooth integrands.
+
+The standard-normal utilities come from the standard library: the CDF is
+``math.erfc`` mapped over arrays, the quantile is
+``statistics.NormalDist().inv_cdf`` and the inverse error function is built
+on that quantile in its complementary form, which keeps full precision as
+the argument nears 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.special import roots_hermitenorm
 
 from .config import DEFAULT_TOLERANCES
 
+_SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # Standard-normal mass beyond 12 sigma is ~ 2e-33; activation integrands are
 # bounded or of low polynomial growth so truncating panels there is exact at
@@ -64,7 +73,7 @@ class QuadratureRule:
     @classmethod
     def gauss_hermite(cls, order: int = 101) -> "QuadratureRule":
         """Probabilists' Gauss-Hermite rule normalised to unit mass."""
-        nodes, weights = roots_hermitenorm(order)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(order)
         return cls(nodes=nodes, weights=weights / weights.sum(), order=order)
 
 
@@ -164,9 +173,14 @@ def gauss_expect(
     return float(np.dot(rule.weights, vals))
 
 
-def normal_cdf(x: float) -> float:
-    """Standard-normal CDF."""
-    return float(special.ndtr(x))
+def normal_cdf(x):
+    """Standard-normal CDF, 0.5 erfc(-x / sqrt(2)), elementwise over arrays.
+
+    Returns a Python float for scalar input and a float array otherwise.
+    """
+    if np.ndim(x) == 0:
+        return 0.5 * math.erfc(-float(x) * _SQRT_HALF)
+    return 0.5 * _erfc(np.multiply(x, -_SQRT_HALF)).astype(float)
 
 
 def normal_quantile(p: float) -> float:
@@ -174,16 +188,21 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def erf(x: float) -> float:
-    return float(special.erf(x))
+    return math.erf(x)
 
 
 def erf_inv(p: float) -> float:
-    """Inverse error function; p must lie strictly inside (-1, 1)."""
+    """Inverse error function; p must lie strictly inside (-1, 1).
+
+    Computed as -Phi^{-1}((1 - |p|) / 2) / sqrt(2) with the sign of p: the
+    tail probability 1 - |p| is exact for |p| >= 1/2, where the form
+    Phi^{-1}((1 + p) / 2) would round 1 + p and lose digits as p nears 1.
+    """
     p = float(p)
     if not -1.0 < p < 1.0:
         raise ValueError(f"erf_inv argument must lie in (-1, 1), got {p}")
-    return float(special.erfinv(p))
+    return math.copysign(-_STANDARD_NORMAL.inv_cdf(0.5 * (1.0 - abs(p))) / _SQRT2, p)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import maps
 from ._moments import _Kernel, _value
@@ -58,6 +57,69 @@ _SATURATED = 0
 
 class InfeasibleTargetError(ValueError):
     """Raised when no valid initialisation exists for the requested targets."""
+
+
+# relative tolerance of the root finder, just above its floor of 4 ulp(1)
+_RTOL = 8.9e-16
+_MAXITER = 100
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in the sign-changing bracket [xa, xb], by Brent's method.
+
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
+    in the form of the classic ``brentq`` C routine: inverse quadratic
+    interpolation or secant steps, falling back to bisection.  The result is
+    within ``xtol + rtol |x|`` of a root; a root at an endpoint is returned
+    as is.  Raises ValueError when f(xa) and f(xb) have the same sign and
+    RuntimeError when 100 iterations do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent iteration did not converge in {_MAXITER} steps, last x = {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -192,14 +254,14 @@ def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
             f"no clip level m = x sqrt(q*) with x in ({lo}, {hi}) achieves slope "
             f"{v_prime_target} at s={s}, q*={q_star}"
         )
-    x = brentq(
+    x = _brent(
         lambda x: _slope_residual(a, x, v_prime_target),
         lo,
         hi,
         xtol=DEFAULT_TOLERANCES.root_xtol,
-        rtol=8.9e-16,
+        rtol=_RTOL,
     )
-    return math.sqrt(q_star) * float(x)
+    return math.sqrt(q_star) * x
 
 
 def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
@@ -335,7 +397,7 @@ def find_fixed_points(
         if fa == 0.0:
             root = float(a)
         elif fa * fb < 0.0:
-            root = float(brentq(resid, a, b, xtol=1e-12, rtol=8.9e-16))
+            root = _brent(resid, a, b, xtol=1e-12, rtol=_RTOL)
         else:
             continue
         if all(abs(root - r) > 1e-6 * max(1.0, root) for r in roots):

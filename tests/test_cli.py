@@ -342,3 +342,53 @@ class TestConfigFile:
         proc = run_cli(["solve", "--config", str(cfg), "--activation", "crelu",
                         "-s", "0.85", "--qstar", "1", "--vprime", "0.7"])
         assert proc.returncode == 1
+
+
+# runs each argv of the JSON list in sys.argv[1] through cli.main and prints
+# the exit codes as a JSON list; every top-level module outside the standard
+# library, numpy and eoc_lab fails to import, as if it were not installed
+_NUMPY_ONLY = """
+import contextlib, io, json, sys
+from importlib.abc import MetaPathFinder
+
+
+class NumpyOnly(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top not in ("numpy", "eoc_lab"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NumpyOnly())
+from eoc_lab import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+class TestNumpyOnly:
+    def test_commands_run_with_numpy_alone(self, tmp_path):
+        init = ["--activation", "crelu", "-s", "0.85", "--qstar", "3", "--vprime", "0.7"]
+        commands = [
+            ["solve", *init],
+            ["fixed-points", "--activation", "cst", "-s", "0.85", "--qstar", "1",
+             "--vprime", "0.9"],
+            ["nlo", *init, "--depth", "10", "--out", str(tmp_path / "nlo.csv")],
+            ["sweep", "--quantity", "nlo_bound", "--activation", "cst", "--sparsity", "0.8",
+             "--qstar-range", "0.09:3:6", "--m-range", "0.5:3:6",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["simulate", *init, "--depth", "3", "--width", "50", "--batch", "8",
+             "--out", str(tmp_path / "simulate.csv")],
+            ["correlate", *init, "--depth", "3", "--width", "50", "--batch", "8",
+             "--rho0", "0.5", "--out", str(tmp_path / "correlate.csv")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY, json.dumps(commands)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(commands), proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 from eoc_lab.activations import ActivationSpec
@@ -171,6 +172,10 @@ class TestNormalUtilities:
     def test_erf_inv_zero(self):
         assert erf_inv(0.0) == 0.0
 
+    def test_erf_inv_odd(self):
+        for p in (1e-3, 0.5, 0.85, 1.0 - 1e-12):
+            assert erf_inv(-p) == -erf_inv(p)
+
     def test_quantile_domain(self):
         for p in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
@@ -178,3 +183,42 @@ class TestNormalUtilities:
         for p in (-1.0, 1.0, 2.0):
             with pytest.raises(ValueError):
                 erf_inv(p)
+
+
+def _relative_errors(values, exact):
+    """|value - exact| / |exact|, and |value| where the exact value is 0."""
+    return [abs(mp.mpf(float(v)) - e) / (abs(e) or 1) for v, e in zip(values, exact)]
+
+
+class TestAgainstMpmath:
+    """The normal-law utilities against 40-digit mpmath values."""
+
+    # up to s = 1 - 1e-14, where the tail 1 - s is tiny and a quantile of
+    # (1 + p) / 2 would lose digits
+    SPARSITIES = (0.5, 0.85, 0.99, 1 - 1e-8, 1 - 1e-10, 1 - 1e-12, 1 - 1e-14)
+
+    def test_normal_cdf(self):
+        """Relative error <= 1e-14 for |x| < 6 and <= 1e-12 over [-37, 8],
+        where Phi(x) is still a normal double, for scalars and arrays."""
+        xs = np.linspace(-37.0, 8.0, 901)
+        array = normal_cdf(xs)
+        scalars = [normal_cdf(x) for x in xs]
+        assert isinstance(array, np.ndarray) and array.shape == xs.shape
+        assert all(type(v) is float for v in scalars)
+        assert array.tolist() == scalars
+        with mp.workdps(40):
+            errors = _relative_errors(scalars, [mp.ncdf(mp.mpf(x)) for x in xs])
+            assert max(errors) <= 1e-12
+            assert max(e for e, x in zip(errors, xs) if abs(x) < 6.0) <= 1e-14
+
+    def test_normal_quantile(self):
+        with mp.workdps(40):
+            exact = [mp.sqrt(2) * mp.erfinv(2 * mp.mpf(s) - 1) for s in self.SPARSITIES]
+            errors = _relative_errors([normal_quantile(s) for s in self.SPARSITIES], exact)
+        assert max(errors) <= 1e-15
+
+    def test_erf_inv(self):
+        with mp.workdps(40):
+            exact = [mp.erfinv(mp.mpf(s)) for s in self.SPARSITIES]
+            errors = _relative_errors([erf_inv(s) for s in self.SPARSITIES], exact)
+        assert max(errors) <= 1e-15

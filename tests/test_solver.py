@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from eoc_lab.maps import chi1, v_map, v_prime, v_prime2
 from eoc_lab.solver import (
+    _RTOL,
     EocInit,
     InfeasibleTargetError,
     find_fixed_points,
     init_from_m,
     relu_init,
     solve_init,
+    _brent,
     sparsity_threshold,
 )
 
@@ -34,6 +37,31 @@ def bisect_series_erf_inv(p, lo=0.0, hi=8.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class TestBrent:
+    @pytest.mark.parametrize(
+        "f, lo, hi, root",
+        [
+            (lambda x: x ** 3 - 2.0, 0.0, 2.0, lambda: mp.cbrt(2)),
+            (math.sin, 3.0, 4.0, lambda: mp.pi),
+            (lambda x: math.log(x) - 50.0, 1.0, 1e30, lambda: mp.exp(50)),
+            (lambda x: 1e-3 - x, -5.0, 5.0, lambda: mp.mpf("1e-3")),
+        ],
+    )
+    def test_root_within_tolerance(self, f, lo, hi, root):
+        xtol = 1e-12
+        x = _brent(f, lo, hi, xtol=xtol, rtol=_RTOL)
+        with mp.workdps(40):
+            assert abs(mp.mpf(x) - root()) <= xtol + _RTOL * abs(x)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=_RTOL)
+
+    def test_root_at_endpoint_returned(self):
+        assert _brent(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, rtol=_RTOL) == 1.0
+        assert _brent(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12, rtol=_RTOL) == 1.0
 
 
 class TestSparsityThreshold:
