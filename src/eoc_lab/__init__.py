@@ -12,8 +12,6 @@ from .finite_width import (
     theorem1_bound,
 )
 from .gaussian import (
-    QuadratureRule,
-    erf,
     erf_inv,
     gauss_expect,
     normal_cdf,
@@ -59,7 +57,6 @@ __all__ = [
     "LayerStats",
     "MapDiagnostics",
     "NloState",
-    "QuadratureRule",
     "SimConfig",
     "Tolerances",
     "TrainConfig",
@@ -69,7 +66,6 @@ __all__ = [
     "correlation_map_precise",
     "critical_gain",
     "diagnostics",
-    "erf",
     "erf_inv",
     "find_fixed_points",
     "gauss_expect",

@@ -176,25 +176,6 @@ class _Kernel:
         return self.sq * (self.i1 - self.a * self.i0 + self.x * self.tail)
 
 
-def second_moment(spec: ActivationSpec, q):
-    """E[phi(z)^2] for z ~ N(0, q)."""
-    return _value(_Kernel.at(spec, q).second)
-
-
-def fourth_moment(spec: ActivationSpec, q):
-    """E[phi(z)^4] for z ~ N(0, q)."""
-    return _value(_Kernel.at(spec, q).fourth)
-
-
-def linear_region_probability(spec: ActivationSpec, q):
-    """P(phi'(z) = 1) for z ~ N(0, q).
-
-    The derivative is {0, 1}-valued, so this single probability equals
-    E[phi'(z)^(2k)] for every k >= 1.
-    """
-    return _value(_Kernel.at(spec, q).linear)
-
-
 def first_moment_shifted(spec: ActivationSpec, mu, sigma: float):
     """E[phi(x)] for x ~ N(mu, sigma^2), vectorised over mu.
 

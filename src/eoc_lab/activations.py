@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import normal_cdf
+from .gaussian import _check_q, normal_cdf
 
 RELU = "relu"
 CRELU = "crelu"
@@ -105,9 +105,6 @@ class ActivationSpec:
             out = ((ax > self.tau) & (ax < self.tau + self.m)).astype(float)
         return out if out.ndim else float(out)
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def kinks(self) -> tuple[float, ...]:
         """Input locations where the activation is not differentiable."""
         if self.kind == RELU:
@@ -118,8 +115,7 @@ class ActivationSpec:
 
     def zero_probability(self, q: float) -> float:
         """P(activation output is exactly 0) for an N(0, q) input."""
-        if q <= 0.0:
-            raise ValueError("variance must be positive")
+        q = _check_q(q)
         if self.kind == RELU:
             return 0.5
         if self.kind == CRELU:

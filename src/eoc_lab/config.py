@@ -10,16 +10,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # quadrature rule must reproduce the unit mass of the Gaussian weight
-    quadrature_norm: float = 1e-12
     # |V(q*) - q*| and |chi1(q*) - 1| accepted for a solved initialisation
     fixed_point: float = 1e-9
     # closed-form identities between the slope/curvature maps
     identity: float = 1e-10
     # absolute x-tolerance of bracketed root finding on the clip width
     root_xtol: float = 1e-12
-    # relative agreement demanded between closed forms and finite differences
-    derivative_rel: float = 1e-5
     # |V(root) - root| accepted when reporting a fixed point
     fixed_point_report: float = 1e-8
 

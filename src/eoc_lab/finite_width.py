@@ -95,16 +95,20 @@ def lemma_r_closed_form(init: EocInit, layer: int) -> float:
 def lemma_q1_closed_form(init: EocInit, layer: int) -> float:
     """Closed form of the width-correction q1 at a given layer (>= 3).
 
-    q1_l = (1/2) V'' sum_{i=0}^{l-3} V'^i r_{l-i-1}, with r from its own
-    closed form; the sum is evaluated directly.
+    Summing q1_l = (1/2) V'' sum_{i=0}^{l-3} V'^i r_{l-i-1} over the closed
+    form of r gives, with n = l - 2,
+
+        q1_l = (V'' inject / 2) (1 - V'^n) (1 - V'^(n+1)) / ((1 - V') (1 - V'^2)),
+
+    whose limit in l is :func:`theorem1_bound` up to the signs it drops.
     """
     if layer < 3:
         raise ValueError("closed form for q1 holds for layer >= 3")
     vp = _check_slope(init)
-    vpp = maps.v_prime2(init.spec, init.sw2, init.q_star)
-    i = np.arange(0, layer - 2)
-    r_terms = np.array([lemma_r_closed_form(init, int(layer - k - 1)) for k in i])
-    return 0.5 * vpp * float(np.sum(vp ** i * r_terms))
+    k = _Kernel.at(init.spec, init.q_star)
+    n = layer - 2
+    geometric = (1.0 - vp ** n) * (1.0 - vp ** (n + 1)) / ((1.0 - vp) * (1.0 - vp * vp))
+    return float(0.5 * k.v_prime2(init.sw2) * _innovation(k, init.sw2) * geometric)
 
 
 def theorem1_bound(init: EocInit) -> float:

@@ -4,15 +4,15 @@ This module owns the scalar operator
 
     <f>_q = E[f(z)],  z ~ N(0, q),
 
-evaluated by ``gauss_expect(f, q)`` on N(0, q) samples directly, i.e.
-(2*pi*q)^(-1/2) * integral f(z) exp(-z^2 / (2q)) dz.
+evaluated by ``gauss_expect(f, q, kinks)`` on N(0, q) samples directly,
+i.e. (2*pi*q)^(-1/2) * integral f(z) exp(-z^2 / (2q)) dz.
 
-Quadrature is Gauss-Hermite in the probabilists' convention by default.
 Activation integrands in this package are piecewise smooth with kinks, so
-``gauss_expect`` accepts an optional list of kink locations; when given, the
-integral is evaluated segment by segment with composite Gauss-Legendre
-panels, which restores spectral accuracy that a global Hermite rule loses on
-non-smooth integrands.
+the integral is split at the given kink locations and each smooth segment
+is integrated with composite Gauss-Legendre panels of one fixed order,
+which keeps spectral accuracy on non-smooth integrands.  The closed forms
+of :mod:`eoc_lab._moments` never call it; the two-input correlation map
+does, and the test suite holds the closed forms against it.
 
 The standard-normal utilities come from the standard library: the CDF is
 ``math.erfc`` mapped over arrays, the quantile is
@@ -23,14 +23,12 @@ the argument nears 1.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .config import DEFAULT_TOLERANCES
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -43,61 +41,14 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 # double precision.
 _TAIL_SIGMA = 12.0
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a Gaussian quadrature rule.
-
-    Weights are normalised against the Gaussian weight, so they sum to one
-    and ``sum(w * f(x))`` is an expectation, not a bare integral.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if self.order < 1:
-            raise ValueError("quadrature order must be a positive integer")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(weights.sum() - 1.0) > DEFAULT_TOLERANCES.quadrature_norm:
-            raise ValueError("normalised weights must sum to 1")
-        if not np.allclose(nodes, -nodes[::-1], atol=1e-12):
-            raise ValueError("nodes must be symmetric about 0")
-
-    @classmethod
-    def gauss_hermite(cls, order: int = 101) -> "QuadratureRule":
-        """Probabilists' Gauss-Hermite rule normalised to unit mass."""
-        nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-        return cls(nodes=nodes, weights=weights / weights.sum(), order=order)
+# Gauss-Legendre nodes per panel
+_ORDER = 80
 
 
-_DEFAULT_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-
-def default_rule(order: int = 101) -> QuadratureRule:
-    rule = _DEFAULT_RULE_CACHE.get(order)
-    if rule is None:
-        rule = QuadratureRule.gauss_hermite(order)
-        _DEFAULT_RULE_CACHE[order] = rule
-    return rule
-
-
-# cache of Gauss-Legendre panels on [-1, 1], keyed by order
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _GL_CACHE.get(order)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = cached
-    return cached
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use, not at import: every CLI process imports this module
+    return np.polynomial.legendre.leggauss(_ORDER)
 
 
 def _check_q(q):
@@ -112,25 +63,28 @@ def _check_q(q):
     return arr if arr.ndim else float(arr)
 
 
-def _segmented_expect(
+def gauss_expect(
     f: Callable[[np.ndarray], np.ndarray],
     q: float,
-    kinks: Sequence[float],
-    order: int,
+    kinks: Sequence[float] = (),
 ) -> float:
-    """Expectation of f under N(0, q), split at the given kink locations.
+    """Expectation of ``f(z)`` for ``z ~ N(0, q)``.
 
-    Kinks are in the coordinates of f's argument; each smooth segment is
-    integrated with composite Gauss-Legendre panels of at most 6 standard
-    deviations so the per-panel integrand stays spectrally resolvable.
+    ``f`` must accept a numpy array and return finite values on the nodes.
+    ``kinks`` are the locations where f or a derivative jumps, in the
+    coordinates of z; each smooth segment between them is integrated with
+    composite Gauss-Legendre panels of at most 6 standard deviations, so
+    the per-panel integrand stays spectrally resolvable.
     """
+    q = _check_q(q)
     sq = math.sqrt(q)
     pts = sorted({float(k) / sq for k in kinks})
-    lo = min(-_TAIL_SIGMA, (pts[0] - _TAIL_SIGMA) if pts else -_TAIL_SIGMA)
-    hi = max(_TAIL_SIGMA, (pts[-1] + _TAIL_SIGMA) if pts else _TAIL_SIGMA)
+    lo, hi = -_TAIL_SIGMA, _TAIL_SIGMA
+    if pts:
+        lo, hi = min(lo, pts[0] - _TAIL_SIGMA), max(hi, pts[-1] + _TAIL_SIGMA)
     edges = [lo] + [p for p in pts if lo < p < hi] + [hi]
 
-    gl_x, gl_w = _gauss_legendre(order)
+    gl_x, gl_w = _gauss_legendre()
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a <= 0:
@@ -146,31 +100,6 @@ def _segmented_expect(
                 raise ValueError("integrand returned a non-finite value")
             total += half * float(np.sum(gl_w * density * vals))
     return total
-
-
-def gauss_expect(
-    f: Callable[[np.ndarray], np.ndarray],
-    q: float,
-    rule: QuadratureRule | None = None,
-    kinks: Sequence[float] | None = None,
-) -> float:
-    """Expectation of ``f(z)`` for ``z ~ N(0, q)``.
-
-    ``f`` must accept a numpy array and return finite values on the node
-    set.  Passing ``kinks`` (locations where f or a derivative jumps, in the
-    coordinates of z) switches to segment-split panel quadrature, which is
-    the accurate path for piecewise-defined activations.
-    """
-    q = _check_q(q)
-    if rule is None:
-        rule = default_rule()
-    if kinks is not None:
-        return _segmented_expect(f, q, kinks, rule.order)
-    z = math.sqrt(q) * rule.nodes
-    vals = np.asarray(f(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value at a quadrature node")
-    return float(np.dot(rule.weights, vals))
 
 
 def normal_cdf(x):
@@ -189,10 +118,6 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
     return _STANDARD_NORMAL.inv_cdf(p)
-
-
-def erf(x: float) -> float:
-    return math.erf(x)
 
 
 def erf_inv(p: float) -> float:

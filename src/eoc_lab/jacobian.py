@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _moments, maps
+from . import maps
+from ._moments import _Kernel
 from .solver import EocInit
 
 # First S-transform moment of the Gram matrix of an iid Gaussian weight
@@ -74,7 +75,7 @@ def jacobian_moments(init: EocInit, depth: int) -> JacobianMoments:
         raise ValueError(
             f"spectral moments are defined here only at criticality; chi1(q*) = {c!r}"
         )
-    mu1 = _moments.linear_region_probability(init.spec, init.q_star)
+    mu1 = float(_Kernel.at(init.spec, init.q_star).linear)
     if mu1 <= 0.0:
         raise DegenerateDerivativeError("derivative moment mu1 vanishes")
     mu2 = mu1  # indicator derivative: identical moments of every order

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from . import _moments
 from ._moments import _Kernel, _value
 from .activations import ActivationSpec
-from .gaussian import _check_q, default_rule, gauss_expect
+from .gaussian import _check_q, gauss_expect
 
 
 def v_map(spec: ActivationSpec, sw2: float, sb2: float, q):
@@ -113,7 +113,6 @@ def correlation_map_precise(
     sb2: float,
     q_star: float,
     rho: float,
-    order: int = 80,
 ) -> float:
     """R(rho) with the inner Gaussian integral done in closed form.
 
@@ -130,7 +129,7 @@ def correlation_map_precise(
     if rho == -1.0:
         # phi(z) phi(-z) is -phi(z)^2 for the odd family and vanishes for the
         # others, whose threshold is nonnegative
-        moment = -_moments.second_moment(spec, q_star) if spec.odd else 0.0
+        moment = -float(_Kernel.at(spec, q_star).second) if spec.odd else 0.0
         return (sw2 * moment + sb2) / q_star
     sq = math.sqrt(q_star)
     sigma = sq * math.sqrt(1.0 - rho * rho)
@@ -149,7 +148,5 @@ def correlation_map_precise(
             halfwidth = 10.0 * sigma / abs(rho)
             split_points += [center - halfwidth, center, center + halfwidth]
 
-    moment = gauss_expect(
-        integrand, q_star, rule=default_rule(order), kinks=split_points
-    )
+    moment = gauss_expect(integrand, q_star, split_points)
     return (sw2 * moment + sb2) / q_star

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
+from .gaussian import _check_q
 from .solver import EocInit
 
 _STREAM_INPUT = 0
@@ -58,6 +59,8 @@ class SimConfig:
             raise ValueError("width must be at least 8")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
+        if self.input_variance is not None:
+            _check_q(self.input_variance)
 
     def to_dict(self) -> dict:
         return {

@@ -43,6 +43,9 @@ from .gaussian import _check_q, erf_inv, normal_quantile
 # bracket of the clip level in units of sqrt(q*), x = m / sqrt(q*)
 X_BRACKET = (1e-4, 50.0)
 
+# intervals of the sign-change scan that brackets the fixed points
+_FP_GRID = 2000
+
 # the conditions a critical initialisation must meet, in the order they are
 # checked; _failure indexes into this tuple
 _INFEASIBLE = (
@@ -196,14 +199,14 @@ def _critical(k: _Kernel, q_star):
         return sw2, q_star - sw2 * k.second
 
 
-def _failure(k: _Kernel, sw2, sb2, q_star, tol: float | None = None):
+def _failure(k: _Kernel, sw2, sb2, q_star):
     """Index into _INFEASIBLE of the first condition each cell breaks.
 
     Everything broadcasts over the arrays of ``k``, the kernel at q*, and
     cells that meet every condition read -1.  The solver raises from this
     predicate and the sweep masks with it, so both apply the same rules.
     """
-    tol = DEFAULT_TOLERANCES.fixed_point if tol is None else tol
+    tol = DEFAULT_TOLERANCES.fixed_point
     with np.errstate(invalid="ignore"):
         return np.select(
             [
@@ -217,15 +220,16 @@ def _failure(k: _Kernel, sw2, sb2, q_star, tol: float | None = None):
         )
 
 
-def _check_feasible(k: _Kernel, sw2, sb2, q_star, tol: float | None = None) -> None:
-    tol = DEFAULT_TOLERANCES.fixed_point if tol is None else tol
-    failure = int(_failure(k, sw2, sb2, q_star, tol))
+def _check_feasible(k: _Kernel, sw2, sb2, q_star) -> None:
+    failure = int(_failure(k, sw2, sb2, q_star))
     if failure < 0:
         return
     with np.errstate(invalid="ignore"):
         chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
     raise InfeasibleTargetError(
-        _INFEASIBLE[failure].format(sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=tol)
+        _INFEASIBLE[failure].format(
+            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=DEFAULT_TOLERANCES.fixed_point
+        )
     )
 
 
@@ -278,10 +282,10 @@ def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
     )
 
 
-def validate_init(init: EocInit, tol: float | None = None) -> None:
+def validate_init(init: EocInit) -> None:
     """Check both criticality conditions; raises on violation."""
     k = _Kernel.at(init.spec, init.q_star)
-    _check_feasible(k, init.sw2, init.sb2, init.q_star, tol)
+    _check_feasible(k, init.sw2, init.sb2, init.q_star)
 
 
 def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> EocInit:
@@ -364,7 +368,6 @@ def find_fixed_points(
     init: EocInit,
     lo: float | None = None,
     hi: float | None = None,
-    grid: int = 2000,
 ) -> FixedPointReport:
     """Locate all solutions of V(q) = q in [lo, hi].
 
@@ -375,14 +378,13 @@ def find_fixed_points(
     hi = init.q_star * 20.0 if hi is None else float(hi)
     if not (0.0 < lo < init.q_star < hi):
         raise ValueError("need 0 < lo < q* < hi")
-    grid = max(int(grid), 1000)
 
     spec, sw2, sb2 = init.spec, init.sw2, init.sb2
 
     def resid(q):
         return maps.v_map(spec, sw2, sb2, q) - q
 
-    qs = np.linspace(lo, hi, grid + 1)
+    qs = np.linspace(lo, hi, _FP_GRID + 1)
     vals = resid(qs)
 
     tol_line = 1e-9 * max(1.0, hi)
@@ -392,7 +394,7 @@ def find_fixed_points(
 
     roots: list[float] = [init.q_star]
     report_tol = DEFAULT_TOLERANCES.fixed_point_report
-    for i in range(grid):
+    for i in range(_FP_GRID):
         a, b, fa, fb = qs[i], qs[i + 1], vals[i], vals[i + 1]
         if fa == 0.0:
             root = float(a)

@@ -61,8 +61,8 @@ class TrainConfig:
             raise ValueError("depth must be at least 2 (first affine plus classifier)")
         if self.width < 2 or self.batch < 1 or self.epochs < 1:
             raise ValueError("width, batch and epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == SMALL_DIGITS and not self.data_csv:
@@ -199,12 +199,6 @@ def _softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(logits, y):
-    p = _softmax(logits)
-    n = len(y)
-    return float(-np.mean(np.log(p[np.arange(n), y] + 1e-300)))
 
 
 def loss_and_grads(params, spec, x, y):

@@ -5,21 +5,29 @@ in ``eoc_lab._moments``, and are slower and (for the tensor rule) coarser
 than the library's closed forms.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from eoc_lab.gaussian import default_rule, gauss_expect
+from eoc_lab.gaussian import gauss_expect
 from eoc_lab.maps import correlation_map_precise
 
 
-def v_map_quadrature(spec, sw2, sb2, q, rule=None):
+@functools.cache
+def _hermite_rule():
+    """Probabilists' Gauss-Hermite nodes and weights, normalised to unit mass."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(101)
+    return nodes, weights / weights.sum()
+
+
+def v_map_quadrature(spec, sw2, sb2, q):
     """V(q) by segment-split quadrature of the defining integral."""
-    moment = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, rule=rule, kinks=spec.kinks())
+    moment = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, spec.kinks())
     return sw2 * moment + sb2
 
 
-def correlation_map(spec, sw2, sb2, q_star, rho, rule=None):
+def correlation_map(spec, sw2, sb2, q_star, rho):
     """R(rho) by a tensor product of the 1D Hermite rule.
 
     R(rho) = (sw2 * E[phi(u1) phi(u2)] + sb2) / q_star with
@@ -29,12 +37,11 @@ def correlation_map(spec, sw2, sb2, q_star, rho, rule=None):
     """
     if abs(rho) >= 1.0:
         return correlation_map_precise(spec, sw2, sb2, q_star, rho)
-    if rule is None:
-        rule = default_rule()
+    nodes, weights = _hermite_rule()
     sq = math.sqrt(q_star)
-    z1 = rule.nodes[:, None]
-    z2 = rule.nodes[None, :]
-    w = rule.weights[:, None] * rule.weights[None, :]
+    z1 = nodes[:, None]
+    z2 = nodes[None, :]
+    w = weights[:, None] * weights[None, :]
     u1 = sq * z1
     u2 = sq * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
     moment = float(np.sum(w * spec.evaluate(u1) * spec.evaluate(u2)))

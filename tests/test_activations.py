@@ -90,6 +90,12 @@ class TestShapeProperties:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("q", [-1.0, 0.0, np.nan, np.inf])
+    def test_zero_probability_rejects_bad_variance(self, q):
+        for spec in (ActivationSpec.relu(), ActivationSpec.crelu(0.5, 1.0), ActivationSpec.cst(0.5, 1.0)):
+            with pytest.raises(ValueError, match="variance must be positive and finite"):
+                spec.zero_probability(q)
+
     def test_relu_ignores_shape_parameters(self):
         spec = ActivationSpec("relu", 3.0, 7.0)
         assert spec.tau == 0.0 and spec.m == np.inf

@@ -269,6 +269,17 @@ class TestSimulateAndCorrelate:
         rows = read_csv(out)
         assert all(r["v_hat"] != "" for r in rows)
 
+    @pytest.mark.parametrize("variance", ["-1", "inf"])
+    def test_bad_input_variance_is_usage_error(self, tmp_path, variance):
+        out = tmp_path / "sim.csv"
+        proc = run_cli(["simulate", "--activation", "crelu", "-s", "0.85",
+                        "--qstar", "1", "--vprime", "0.7", "--depth", "4",
+                        "--width", "64", "--batch", "8", "--seed", "7",
+                        "--input-variance", variance, "--out", str(out)])
+        assert proc.returncode == 1
+        assert f"variance must be positive and finite, got {float(variance)}" in proc.stderr
+        assert not out.exists()
+
     def test_correlate_populates_rho(self, tmp_path):
         out = tmp_path / "cor.csv"
         proc = run_cli(["correlate", "--activation", "crelu", "-s", "0.85",
@@ -313,6 +324,17 @@ class TestTrainCommand:
         assert proc.returncode == 3
         doc = json.loads(proc.stdout)
         assert doc["report"]["diverged"] is True
+
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, lr):
+        proc = run_cli(["train", "--activation", "relu", "--qstar", "1",
+                        "--dataset", "synthetic-blobs", "--depth", "6",
+                        "--width", "16", "--epochs", "3", "--lr", lr,
+                        "--batch", "16", "--seed", "7", "--n-samples", "128",
+                        "--input-dim", "8", "--n-classes", "3"])
+        assert proc.returncode == 1
+        assert "learning rate must be positive and finite" in proc.stderr
 
 
 class TestConfigFile:

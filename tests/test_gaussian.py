@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
-from numpy.testing import assert_allclose
 
+from eoc_lab._moments import _Kernel
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.gaussian import (
-    QuadratureRule,
-    default_rule,
-    erf,
     erf_inv,
     gauss_expect,
     normal_cdf,
@@ -46,23 +43,6 @@ def bisect_series_quantile(p, lo=-10.0, hi=10.0):
     return 0.5 * (lo + hi)
 
 
-class TestQuadratureRule:
-    def test_weights_normalised(self):
-        for order in (31, 64, 101, 128):
-            rule = QuadratureRule.gauss_hermite(order)
-            assert abs(rule.weights.sum() - 1.0) <= 1e-12
-
-    def test_nodes_symmetric(self):
-        rule = QuadratureRule.gauss_hermite(101)
-        assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
-
-    def test_invalid_rules_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0]), weights=np.array([2.0]), order=1)
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([-1.0, 2.0]), weights=np.array([0.5, 0.5]), order=2)
-
-
 class TestGaussExpect:
     def test_normalisation(self):
         assert gauss_expect(lambda z: np.ones_like(z), 2.0) == pytest.approx(1.0, abs=1e-13)
@@ -94,9 +74,9 @@ class TestGaussExpect:
         with pytest.raises(ValueError):
             gauss_expect(lambda z: np.full_like(z, np.nan), 1.0)
 
-    def test_order_resolution_on_activation_integrands(self):
-        """Order 64 and order 128 agree to 1e-10 on every activation-derived
-        integrand once segments are split at the kinks."""
+    def test_closed_form_moments_match_panel_quadrature(self):
+        """The kernel's E[phi^2], E[phi^4] and P(phi' = 1) agree with
+        kink-split panel quadrature of their defining integrals to 1e-12."""
         specs = [
             ActivationSpec.relu(),
             ActivationSpec.crelu(0.25, 1.22),
@@ -104,18 +84,16 @@ class TestGaussExpect:
             ActivationSpec.cst(0.84, 1.2),
             ActivationSpec.cst(1.44, 2.0),
         ]
-        r64, r128 = default_rule(64), default_rule(128)
         for spec in specs:
-            integrands = [
-                lambda z, s=spec: s.evaluate(z) ** 2,
-                lambda z, s=spec: s.evaluate(z) ** 4,
-                lambda z, s=spec: s.derivative(z) ** 2,
-            ]
             for q in (0.5, 1.0, 3.0):
-                for f in integrands:
-                    lo = gauss_expect(f, q, rule=r64, kinks=spec.kinks())
-                    hi = gauss_expect(f, q, rule=r128, kinks=spec.kinks())
-                    assert abs(lo - hi) <= 1e-10
+                k = _Kernel.at(spec, q)
+                for closed, f in (
+                    (k.second, lambda z, s=spec: s.evaluate(z) ** 2),
+                    (k.fourth, lambda z, s=spec: s.evaluate(z) ** 4),
+                    (k.linear, lambda z, s=spec: s.derivative(z) ** 2),
+                ):
+                    quad = gauss_expect(f, q, spec.kinks())
+                    assert float(closed) == pytest.approx(quad, rel=1e-12, abs=0.0)
 
     def test_against_monte_carlo_oracle(self):
         """Seeded MC agreement within 3 standard errors on 20 randomized
@@ -154,7 +132,7 @@ class TestNormalUtilities:
 
     def test_erf_odd(self):
         for x in np.linspace(0.0, 5.0, 21):
-            assert erf(-x) == -erf(x)
+            assert math.erf(-x) == -math.erf(x)
 
     def test_erf_inv_roundtrip(self):
         """Roundtrip to 1e-10 where float64 permits.
@@ -167,7 +145,7 @@ class TestNormalUtilities:
         eps = np.finfo(float).eps
         for x in np.linspace(-5.0, 5.0, 41):
             conditioning = 4.0 * eps * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
-            assert abs(erf_inv(erf(x)) - x) <= max(1e-10, conditioning)
+            assert abs(erf_inv(math.erf(x)) - x) <= max(1e-10, conditioning)
 
     def test_erf_inv_zero(self):
         assert erf_inv(0.0) == 0.0

@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eoc_lab.activations import ActivationSpec
-from eoc_lab.gaussian import default_rule
 from eoc_lab.maps import (
     chi1,
     chi1_prime,

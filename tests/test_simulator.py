@@ -111,6 +111,9 @@ class TestForward:
             SimConfig(init=init, depth=4, width=4)
         with pytest.raises(ValueError):
             SimConfig(init=init, depth=4, width=64, batch=0)
+        for variance in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="variance must be positive and finite"):
+                SimConfig(init=init, depth=4, width=64, input_variance=variance)
 
 
 class TestBackward:

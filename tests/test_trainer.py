@@ -187,6 +187,11 @@ class TestTraining:
         assert math.isnan(report.train_losses[-1])
         assert report.test_accuracy is None
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            small_config(lr=lr)
+
     def test_deterministic_given_seed(self):
         config = small_config(epochs=3)
         a, b = train(config), train(config)
