@@ -10,6 +10,14 @@ pre-activation, the first included, then passes through the activation
 before feeding the next layer, which is what keeps the variance recursion
 at its fixed point from layer 2 onward.
 
+Forward-only runs (``run_forward``, ``run_correlation``) never build a
+weight matrix.  Given the activations X (rows x N) feeding a layer, its N
+pre-activation columns are independent N(0, sw2/N X X^T + sb2 1 1^T)
+vectors (conditional Gaussianity), so each layer draws them from that law
+directly: rows x N normals instead of N x N, exact in law.  ``run_backward``
+needs the explicit weights to pull an error back down, so it draws the
+dense W and b.
+
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
 layer without reshuffling any other layer's stream.
@@ -124,6 +132,32 @@ def _forward_pass(config: SimConfig, x0: np.ndarray):
         yield layer, h, x, w
 
 
+def _conditional_pass(config: SimConfig, x0: np.ndarray):
+    """Propagate a (rows, width) input; yields (layer, h, x).
+
+    Each layer's pre-activations are drawn from their law given the
+    activations X below: with A = [sqrt(sw2/N) X, sqrt(sb2) 1] (layer 1:
+    sqrt(1/N) X, no bias) and A^T = Q R, the columns of h = R^T Z for
+    standard normal Z have covariance A A^T = R^T R.  The QR factor needs no
+    positive-definiteness, so duplicate rows, a dead layer (A = 0 gives
+    h = 0 exactly) and more rows than width need no special case.
+    """
+    n = config.width
+    init = config.init
+    x = x0
+    bias = np.full((x0.shape[0], 1), math.sqrt(init.sb2))
+    for layer in range(1, config.depth + 1):
+        if layer == 1:
+            a = math.sqrt(1.0 / n) * x
+        else:
+            a = np.hstack([math.sqrt(init.sw2 / n) * x, bias])
+        r = np.linalg.qr(a.T, mode="r")
+        z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((r.shape[0], n))
+        h = r.T @ z
+        x = init.spec.evaluate(h)
+        yield layer, h, x
+
+
 def _chi1_at(init: EocInit, q_hat: float) -> float:
     # a fully dead layer has no growth factor; chi1 -> 0 as q -> 0 for a
     # positive threshold, so return the limit instead of failing
@@ -135,7 +169,7 @@ def _chi1_at(init: EocInit, q_hat: float) -> float:
 def _stats_from_states(config: SimConfig, states) -> list[LayerStats]:
     init = config.init
     out = []
-    for layer, h, x, _ in states:
+    for layer, h, x in states:
         q_hat = float(np.mean(h * h))
         out.append(
             LayerStats(
@@ -157,7 +191,7 @@ def _draw_inputs(config: SimConfig) -> np.ndarray:
 def run_forward(config: SimConfig) -> list[LayerStats]:
     """Forward propagation statistics, deterministic in the seed."""
     x0 = _draw_inputs(config)
-    return _stats_from_states(config, _forward_pass(config, x0))
+    return _stats_from_states(config, _conditional_pass(config, x0))
 
 
 def run_backward(config: SimConfig) -> list[LayerStats]:
@@ -172,7 +206,7 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     spec = config.init.spec
     x0 = _draw_inputs(config)
     states = list(_forward_pass(config, x0))
-    stats = _stats_from_states(config, states)
+    stats = _stats_from_states(config, (state[:3] for state in states))
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
@@ -219,8 +253,9 @@ def _correlated_input_pair(config: SimConfig, rho0: float):
 def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
     """Track the empirical correlation of two inputs through shared weights.
 
-    The two input batches ride through the same drawn network stacked into
-    one forward pass, so the weights are shared by construction.
+    The two input batches ride through the network stacked into one
+    forward pass, so each layer's pre-activations are drawn jointly for all
+    rows, as shared weights would give.
     """
     if not -1.0 <= rho0 <= 1.0:
         raise ValueError(f"rho0 must lie in [-1, 1], got {rho0}")
@@ -229,7 +264,7 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
 
     out = []
     init = config.init
-    for layer, h, x, _ in _forward_pass(config, stacked):
+    for layer, h, x in _conditional_pass(config, stacked):
         ha, hb = h[: config.batch], h[config.batch :]
         dot = np.sum(ha * hb, axis=1)
         qa = np.sum(ha * ha, axis=1)

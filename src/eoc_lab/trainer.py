@@ -63,6 +63,16 @@ class TrainConfig:
             raise ValueError("width, batch and epochs must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.input_dim < 2:
+            # per-sample normalisation maps a single feature to 0
+            raise ValueError(f"input_dim must be at least 2, got {self.input_dim}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
+        if self.n_samples < _MIN_SAMPLES:
+            raise ValueError(
+                f"n_samples must be at least {_MIN_SAMPLES} so that the train, validation"
+                f" and test splits are nonempty, got {self.n_samples}"
+            )
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == SMALL_DIGITS and not self.data_csv:
@@ -138,6 +148,11 @@ def normalize_inputs(x: np.ndarray, q_star: float) -> np.ndarray:
     std = x.std(axis=1, keepdims=True)
     std = np.where(std < 1e-8, 1.0, std)
     return (x - mean) / std * math.sqrt(q_star)
+
+
+# the smallest sample count from which train_val_test_split leaves every
+# split nonempty
+_MIN_SAMPLES = 7
 
 
 def train_val_test_split(x, y, seed):

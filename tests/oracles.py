@@ -46,3 +46,26 @@ def correlation_map(spec, sw2, sb2, q_star, rho):
     u2 = sq * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
     moment = float(np.sum(w * spec.evaluate(u1) * spec.evaluate(u2)))
     return (sw2 * moment + sb2) / q_star
+
+
+def dense_forward(init, x0, depth, rng):
+    """Per-layer (h, x) of one network drawn with explicit weights.
+
+    The simulator's protocol, written out: layer 1 has N(0, 1/N) weights and
+    no bias, later layers N(0, sw2/N) weights and N(0, sb2) biases, and
+    every pre-activation is activated before the next layer.
+    """
+    n = x0.shape[1]
+    x = x0
+    out = []
+    for layer in range(1, depth + 1):
+        if layer == 1:
+            w = rng.normal(0.0, math.sqrt(1.0 / n), size=(n, n))
+            b = np.zeros(n)
+        else:
+            w = rng.normal(0.0, math.sqrt(init.sw2 / n), size=(n, n))
+            b = rng.normal(0.0, math.sqrt(init.sb2), size=n)
+        h = x @ w.T + b
+        x = init.spec.evaluate(h)
+        out.append((h, x))
+    return out

@@ -336,6 +336,29 @@ class TestTrainCommand:
         assert proc.returncode == 1
         assert "learning rate must be positive and finite" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--input-dim", "0", "input_dim"),
+            ("--n-samples", "2", "n_samples"),
+            ("--n-classes", "1", "n_classes"),
+        ],
+    )
+    def test_degenerate_dataset_shape_is_usage_error(self, flag, value, field):
+        """A zero-width input, a sample count that leaves a split empty and a
+        single class are rejected up front instead of crashing or reporting
+        a meaningless accuracy."""
+        args = {"--n-samples": "128", "--input-dim": "8", "--n-classes": "3"}
+        args[flag] = value
+        proc = run_cli(["train", "--activation", "relu", "--qstar", "1",
+                        "--dataset", "synthetic-blobs", "--depth", "3",
+                        "--width", "8", "--epochs", "1", "--lr", "0.1",
+                        "--batch", "8", "--seed", "0",
+                        *[item for pair in args.items() for item in pair]])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {field} must")
+        assert "Traceback" not in proc.stderr
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):

@@ -85,8 +85,19 @@ class TestSpectralMoments:
 class TestErrorMomentTrajectory:
     def test_simulated_growth_factors_explode_at_wide_clip(self):
         """Growth factors read off a narrow network at a wide-clip unstable
-        initialisation accumulate into an exploding product by depth 100."""
-        init = init_from_m("crelu", 0.85, 1.0, 2.0)
-        config = SimConfig(init=init, depth=100, width=64, batch=8, seed=5)
-        stats = run_forward(config)
-        assert math.prod(st.chi1_hat for st in stats) > 10.0
+        initialisation accumulate into an exploding product by depth 100.
+        Whether one width-64 network escapes is close to a coin flip, so the
+        claim is made over an ensemble of seeds: the wide clip escapes in a
+        sizeable share of them, the solved initialisation in none."""
+        seeds = 64
+
+        def escapes(init):
+            count = 0
+            for seed in range(seeds):
+                config = SimConfig(init=init, depth=100, width=64, batch=8, seed=seed)
+                if math.prod(st.chi1_hat for st in run_forward(config)) > 10.0:
+                    count += 1
+            return count
+
+        assert escapes(init_from_m("crelu", 0.85, 1.0, 2.0)) >= 0.25 * seeds
+        assert escapes(solve_init("crelu", 0.85, 1.0, 0.7)) == 0

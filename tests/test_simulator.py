@@ -9,12 +9,16 @@ from eoc_lab.finite_width import lemma_q1_closed_form
 from eoc_lab.maps import chi1
 from eoc_lab.simulator import (
     SimConfig,
+    _correlated_input_pair,
+    _draw_inputs,
     iterated_correlation,
     run_backward,
     run_correlation,
     run_forward,
 )
 from eoc_lab.solver import EocInit, find_fixed_points, init_from_m, relu_init, solve_init
+
+from oracles import dense_forward
 
 
 def scaled_gain(init, factor):
@@ -48,11 +52,89 @@ class TestDeterminism:
         """Per-layer substreams: the input draw is the same stream whatever
         the width, so its leading entries coincide across widths."""
         init = solve_init("crelu", 0.85, 1.0, 0.7)
-        from eoc_lab.simulator import _draw_inputs
-
         small = _draw_inputs(SimConfig(init=init, depth=4, width=16, batch=4, seed=9))
         large = _draw_inputs(SimConfig(init=init, depth=4, width=32, batch=4, seed=9))
         assert np.allclose(small.ravel()[:32], large.ravel()[:32])
+
+
+def dense_stats(states, pair_rows=None):
+    """Per-layer (q_hat, sparsity_hat) as the simulator reports them, plus
+    rho_hat when pair_rows says where a stacked second input begins."""
+    out = []
+    for h, x in states:
+        row = [float(np.mean(h * h)), float(np.mean(x == 0.0))]
+        if pair_rows is not None:
+            ha, hb = h[:pair_rows], h[pair_rows:]
+            dot = np.sum(ha * hb, axis=1)
+            rho = dot / np.sqrt(np.sum(ha * ha, axis=1) * np.sum(hb * hb, axis=1))
+            row.append(float(np.mean(rho)))
+        out.append(row)
+    return out
+
+
+class TestConditionalLaw:
+    """Forward-only runs draw each layer's pre-activations from their law
+    given the layer below; over many seeds their statistics must match a
+    network drawn with explicit weights, layer by layer."""
+
+    SEEDS = 300
+    DEPTH = 6
+
+    @staticmethod
+    def assert_same_law(conditional, dense):
+        # arrays of shape (seeds, layers, quantities)
+        n = conditional.shape[0]
+        sd_c = conditional.std(axis=0, ddof=1)
+        sd_d = dense.std(axis=0, ddof=1)
+        se = np.sqrt((sd_c ** 2 + sd_d ** 2) / n)
+        gap = np.abs(conditional.mean(axis=0) - dense.mean(axis=0))
+        assert np.all(gap <= 4.0 * se), gap / se
+        ratio = sd_c / sd_d
+        assert np.all((ratio >= 0.8) & (ratio <= 1.25)), ratio
+
+    def test_forward_matches_dense_weights(self):
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+        conditional, dense = [], []
+        for seed in range(self.SEEDS):
+            config = SimConfig(init=init, depth=self.DEPTH, width=16, batch=4, seed=seed)
+            conditional.append([(st.q_hat, st.sparsity_hat) for st in run_forward(config)])
+            states = dense_forward(init, _draw_inputs(config), self.DEPTH,
+                                   np.random.default_rng([seed, 1]))
+            dense.append(dense_stats(states))
+        self.assert_same_law(np.array(conditional), np.array(dense))
+
+    def test_correlation_matches_dense_weights(self):
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+        conditional, dense = [], []
+        for seed in range(self.SEEDS):
+            config = SimConfig(init=init, depth=self.DEPTH, width=16, batch=4, seed=seed)
+            conditional.append(
+                [(st.q_hat, st.sparsity_hat, st.rho_hat) for st in run_correlation(config, 0.3)]
+            )
+            stacked = np.concatenate(_correlated_input_pair(config, 0.3), axis=0)
+            states = dense_forward(init, stacked, self.DEPTH, np.random.default_rng([seed, 2]))
+            dense.append(dense_stats(states, config.batch))
+        self.assert_same_law(np.array(conditional), np.array(dense))
+
+    def test_more_rows_than_width(self):
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+        config = SimConfig(init=init, depth=5, width=8, batch=64, seed=3)
+        forward = run_forward(config)
+        paired = run_correlation(config, 0.5)
+        for st in forward + paired:
+            assert math.isfinite(st.q_hat) and st.q_hat > 0.0
+            assert 0.0 <= st.sparsity_hat <= 1.0
+        assert all(math.isfinite(st.rho_hat) for st in paired)
+
+    @pytest.mark.parametrize("rho0", [1.0, -1.0])
+    def test_duplicate_and_opposite_inputs(self, rho0):
+        """rho0 = +-1 makes the stacked rows linearly dependent; the first
+        layer is linear, so its correlation is exactly rho0."""
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+        config = SimConfig(init=init, depth=3, width=64, batch=8, seed=5)
+        stats = run_correlation(config, rho0)
+        assert stats[0].rho_hat == pytest.approx(rho0, abs=1e-12)
+        assert all(math.isfinite(st.rho_hat) for st in stats)
 
 
 class TestForward:
@@ -186,17 +268,19 @@ class TestCorrelation:
             spec=init.spec, q_star=init.q_star, sw2=init.sw2, sb2=0.0,
             s=init.s, v_prime_at_fp=init.v_prime_at_fp,
         )
-        config = SimConfig(init=zero_bias, depth=3, width=1000, batch=16, seed=41)
+        # The row-averaged rho_hat has a standard error of 0.25/sqrt(width)
+        # at layer 1 and 0.38/sqrt(width) at layer 3 (200 seeds at width
+        # 1000), so width 16000 puts the 0.02 bound at least 6.5 standard
+        # errors out.  Layer streams do not depend on the depth, so the
+        # first three layers of this run are the shallow run.
+        config = SimConfig(init=zero_bias, depth=5, width=16000, batch=16, seed=41)
         stats = run_correlation(config, 0.0)
-        for st in stats:
+        for st in stats[:3]:
             assert st.q_hat > 0.0
             assert abs(st.rho_hat) <= 0.02
 
-        deeper = run_correlation(
-            SimConfig(init=zero_bias, depth=5, width=1000, batch=16, seed=41), 0.0
-        )
-        assert deeper[-1].q_hat == 0.0
-        assert math.isnan(deeper[-1].rho_hat)
+        assert stats[-1].q_hat == 0.0
+        assert math.isnan(stats[-1].rho_hat)
 
     def test_domain(self):
         init = relu_init(1.0)

@@ -16,6 +16,7 @@ from eoc_lab.trainer import (
     normalize_inputs,
     observed_sparsity,
     train,
+    train_val_test_split,
     write_training_log,
 )
 
@@ -191,6 +192,14 @@ class TestTraining:
     def test_learning_rate_must_be_positive_and_finite(self, lr):
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
             small_config(lr=lr)
+
+    def test_smallest_accepted_sample_count_fills_every_split(self):
+        for n in range(7, 200):
+            splits = train_val_test_split(np.zeros((n, 6)), np.arange(n), seed=0)
+            assert all(len(part[0]) > 0 for part in splits)
+        small_config(n_samples=7)
+        with pytest.raises(ValueError, match="n_samples must be at least 7"):
+            small_config(n_samples=6)
 
     def test_deterministic_given_seed(self):
         config = small_config(epochs=3)
