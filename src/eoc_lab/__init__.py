@@ -1,7 +1,6 @@
 """Edge-of-chaos initialisation toolkit for sparsity-inducing activations."""
 
 from .activations import ActivationSpec
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .finite_width import (
     DegenerateSlopeError,
     NloState,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationSpec",
-    "DEFAULT_TOLERANCES",
     "DegenerateSlopeError",
     "EocInit",
     "FixedPoint",
@@ -58,7 +56,6 @@ __all__ = [
     "MapDiagnostics",
     "NloState",
     "SimConfig",
-    "Tolerances",
     "TrainConfig",
     "TrainReport",
     "chi1",

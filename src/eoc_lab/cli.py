@@ -143,7 +143,10 @@ def _range_triple(text: str) -> tuple[float, float, int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one value")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -473,6 +476,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_value(action, key, value):
+    """A --config value, read as the flag reads its command-line text: a
+    JSON string as written, a number as its JSON text.  Switches take
+    true or false."""
+    if value is None:
+        return value
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise _UsageError(f"--config key {key!r}: expected true or false")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = action.type(text) if action.type else text
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"--config key {key!r}: {exc}") from None
+    except ValueError:
+        raise _UsageError(
+            f"--config key {key!r}: invalid {action.type.__name__} value: {text}"
+        ) from None
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
 def _apply_config_defaults(args, argv) -> argparse.Namespace:
     """Re-parse with values from --config installed as defaults."""
     with open(args.config) as fh:
@@ -483,11 +510,11 @@ def _apply_config_defaults(args, argv) -> argparse.Namespace:
     for action in parser._subparsers._group_actions:  # reach the subparser map
         sub = action.choices.get(args.command)
         if sub is not None:
-            known = {a.dest for a in sub._actions}
-            unknown = set(loaded) - known
+            actions = {a.dest: a for a in sub._actions}
+            unknown = set(loaded) - set(actions)
             if unknown:
                 raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-            sub.set_defaults(**loaded)
+            sub.set_defaults(**{k: _config_value(actions[k], k, v) for k, v in loaded.items()})
     return parser.parse_args(argv)
 
 

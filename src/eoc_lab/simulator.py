@@ -10,13 +10,13 @@ pre-activation, the first included, then passes through the activation
 before feeding the next layer, which is what keeps the variance recursion
 at its fixed point from layer 2 onward.
 
-Forward-only runs (``run_forward``, ``run_correlation``) never build a
-weight matrix.  Given the activations X (rows x N) feeding a layer, its N
-pre-activation columns are independent N(0, sw2/N X X^T + sb2 1 1^T)
-vectors (conditional Gaussianity), so each layer draws them from that law
-directly: rows x N normals instead of N x N, exact in law.  ``run_backward``
-needs the explicit weights to pull an error back down, so it draws the
-dense W and b.
+No run builds a weight matrix.  Given the activations X (rows x N)
+feeding a layer, its N pre-activation columns are independent
+N(0, sw2/N X X^T + sb2 1 1^T) vectors (conditional Gaussianity), so each
+layer draws them from that law directly: rows x N normals instead of N x N,
+exact in law.  ``run_backward`` pulls an error down through the same
+layers by drawing the weights' product with the error from their law given
+the forward draw (Gaussian conditioning), again without the N x N matrix.
 
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
@@ -26,7 +26,7 @@ layer without reshuffling any other layer's stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .solver import EocInit
 
 _STREAM_INPUT = 0
 _STREAM_WEIGHTS = 1
-_STREAM_BIASES = 2
 _STREAM_TOP_ERROR = 3
 _STREAM_PAIR = 4
+_STREAM_COMPLEMENT = 5
 
 
 def _layer_rng(seed: int, layer: int, stream: int) -> np.random.Generator:
@@ -101,46 +101,17 @@ class LayerStats:
 CSV_COLUMNS = ("layer", "q_hat", "sparsity_hat", "chi1_hat", "v_hat", "rho_hat")
 
 
-def _draw_layers(config: SimConfig):
-    """Per-layer weights and biases; layer 1 preserves input variance."""
-    n = config.width
-    init = config.init
-    for layer in range(1, config.depth + 1):
-        w_rng = _layer_rng(config.seed, layer, _STREAM_WEIGHTS)
-        if layer == 1:
-            w = w_rng.normal(0.0, math.sqrt(1.0 / n), size=(n, n))
-            b = np.zeros(n)
-        else:
-            b_rng = _layer_rng(config.seed, layer, _STREAM_BIASES)
-            w = w_rng.normal(0.0, math.sqrt(init.sw2 / n), size=(n, n))
-            b = b_rng.normal(0.0, math.sqrt(init.sb2), size=n)
-        yield layer, w, b
-
-
-def _forward_pass(config: SimConfig, x0: np.ndarray):
-    """Propagate a (batch, width) input; yields (layer, h, x, w).
-
-    The raw input meets the variance-preserving first layer; every
-    pre-activation h, including the first, is activated before the next
-    layer consumes it.
-    """
-    spec = config.init.spec
-    x = x0
-    for layer, w, b in _draw_layers(config):
-        h = x @ w.T + b
-        x = spec.evaluate(h)
-        yield layer, h, x, w
-
-
-def _conditional_pass(config: SimConfig, x0: np.ndarray):
-    """Propagate a (rows, width) input; yields (layer, h, x).
+def _conditional_pass(config: SimConfig, x0: np.ndarray, keep_basis: bool = False):
+    """Propagate a (rows, width) input; yields (layer, h, x, q, z).
 
     Each layer's pre-activations are drawn from their law given the
     activations X below: with A = [sqrt(sw2/N) X, sqrt(sb2) 1] (layer 1:
     sqrt(1/N) X, no bias) and A^T = Q R, the columns of h = R^T Z for
     standard normal Z have covariance A A^T = R^T R.  The QR factor needs no
     positive-definiteness, so duplicate rows, a dead layer (A = 0 gives
-    h = 0 exactly) and more rows than width need no special case.
+    h = 0 exactly) and more rows than width need no special case.  Q is
+    formed only when ``keep_basis`` asks for it (q is None otherwise), as
+    forming it doubles the factorisation's cost.
     """
     n = config.width
     init = config.init
@@ -151,11 +122,14 @@ def _conditional_pass(config: SimConfig, x0: np.ndarray):
             a = math.sqrt(1.0 / n) * x
         else:
             a = np.hstack([math.sqrt(init.sw2 / n) * x, bias])
-        r = np.linalg.qr(a.T, mode="r")
+        if keep_basis:
+            q, r = np.linalg.qr(a.T)
+        else:
+            q, r = None, np.linalg.qr(a.T, mode="r")
         z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((r.shape[0], n))
         h = r.T @ z
         x = init.spec.evaluate(h)
-        yield layer, h, x
+        yield layer, h, x, q, z
 
 
 def _chi1_at(init: EocInit, q_hat: float) -> float:
@@ -169,7 +143,7 @@ def _chi1_at(init: EocInit, q_hat: float) -> float:
 def _stats_from_states(config: SimConfig, states) -> list[LayerStats]:
     init = config.init
     out = []
-    for layer, h, x in states:
+    for layer, h, x, *_ in states:
         q_hat = float(np.mean(h * h))
         out.append(
             LayerStats(
@@ -200,34 +174,38 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     A synthetic unit-variance error vector is injected at the top layer and
     pulled down through transposed weights and the activation-derivative
     diagonal; no loss function is involved.
+
+    A layer's standard-normal parameters theta ((N+1) x N, weights over the
+    bias row) enter the forward pass only through Z = Q^T theta, so given
+    the forward draw theta = Q Z + (I - Q Q^T) theta' with theta' fresh.
+    The error step needs theta delta^T, whose fresh part has the law of
+    Y R_delta for a standard normal Y and delta^T = Q_delta R_delta: (N+1) x
+    rank normals per layer, and no solve or inverse for degenerate layers.
     """
     if not config.measure_backward:
         raise ValueError("config.measure_backward must be true for run_backward")
+    n = config.width
     spec = config.init.spec
     x0 = _draw_inputs(config)
-    states = list(_forward_pass(config, x0))
-    stats = _stats_from_states(config, (state[:3] for state in states))
+    states = list(_conditional_pass(config, x0, keep_basis=True))
+    stats = _stats_from_states(config, states)
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
-    v_hat: dict[int, float] = {config.depth: float(np.mean(delta * delta))}
-    weights = {layer: w for layer, _, _, w in states}
-    pre_acts = {layer: h for layer, h, _, _ in states}
-    for layer in range(config.depth - 1, 0, -1):
-        back = delta @ weights[layer + 1]
-        delta = back * spec.derivative(pre_acts[layer])
-        v_hat[layer] = float(np.mean(delta * delta))
-
-    return [
-        LayerStats(
-            layer=st.layer,
-            q_hat=st.q_hat,
-            sparsity_hat=st.sparsity_hat,
-            chi1_hat=st.chi1_hat,
-            v_hat=v_hat[st.layer],
+    v_hat = [float(np.mean(delta * delta))]
+    scale = math.sqrt(config.init.sw2 / n)
+    for layer in range(config.depth, 1, -1):
+        _, _, _, q, z = states[layer - 1]
+        r_delta = np.linalg.qr(delta.T, mode="r")
+        y = _layer_rng(config.seed, layer, _STREAM_COMPLEMENT).standard_normal(
+            (n + 1, r_delta.shape[0])
         )
-        for st in stats
-    ]
+        fresh = y @ r_delta
+        theta_delta = q @ (z @ delta.T) + fresh - q @ (q.T @ fresh)
+        delta = scale * theta_delta[:n].T * spec.derivative(states[layer - 2][1])
+        v_hat.append(float(np.mean(delta * delta)))
+
+    return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]
 
 
 def _correlated_input_pair(config: SimConfig, rho0: float):
@@ -264,7 +242,7 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
 
     out = []
     init = config.init
-    for layer, h, x in _conditional_pass(config, stacked):
+    for layer, h, x, *_ in _conditional_pass(config, stacked):
         ha, hb = h[: config.batch], h[config.batch :]
         dot = np.sum(ha * hb, axis=1)
         qa = np.sum(ha * ha, axis=1)

@@ -37,7 +37,6 @@ import numpy as np
 from . import maps
 from ._moments import _Kernel, _value
 from .activations import CRELU, CST, RELU, ActivationSpec
-from .config import DEFAULT_TOLERANCES
 from .gaussian import _check_q, erf_inv, normal_quantile
 
 # bracket of the clip level in units of sqrt(q*), x = m / sqrt(q*)
@@ -45,6 +44,13 @@ X_BRACKET = (1e-4, 50.0)
 
 # intervals of the sign-change scan that brackets the fixed points
 _FP_GRID = 2000
+
+# |V(q*) - q*| and |chi1(q*) - 1| accepted for a solved initialisation
+_FIXED_POINT_TOL = 1e-9
+# absolute x-tolerance of bracketed root finding
+_ROOT_XTOL = 1e-12
+# |V(root) - root| accepted when reporting a fixed point
+_FIXED_POINT_REPORT_TOL = 1e-8
 
 # the conditions a critical initialisation must meet, in the order they are
 # checked; _failure indexes into this tuple
@@ -206,14 +212,13 @@ def _failure(k: _Kernel, sw2, sb2, q_star):
     cells that meet every condition read -1.  The solver raises from this
     predicate and the sweep masks with it, so both apply the same rules.
     """
-    tol = DEFAULT_TOLERANCES.fixed_point
     with np.errstate(invalid="ignore"):
         return np.select(
             [
                 np.logical_not(k.linear > 0.0),
                 sb2 < 0.0,
-                np.abs(k.chi1(sw2) - 1.0) > tol,
-                np.abs(k.v(sw2, sb2) - q_star) > tol * np.maximum(1.0, q_star),
+                np.abs(k.chi1(sw2) - 1.0) > _FIXED_POINT_TOL,
+                np.abs(k.v(sw2, sb2) - q_star) > _FIXED_POINT_TOL * np.maximum(1.0, q_star),
             ],
             range(len(_INFEASIBLE)),
             -1,
@@ -228,7 +233,7 @@ def _check_feasible(k: _Kernel, sw2, sb2, q_star) -> None:
         chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
     raise InfeasibleTargetError(
         _INFEASIBLE[failure].format(
-            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=DEFAULT_TOLERANCES.fixed_point
+            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL
         )
     )
 
@@ -262,7 +267,7 @@ def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
         lambda x: _slope_residual(a, x, v_prime_target),
         lo,
         hi,
-        xtol=DEFAULT_TOLERANCES.root_xtol,
+        xtol=_ROOT_XTOL,
         rtol=_RTOL,
     )
     return math.sqrt(q_star) * x
@@ -393,17 +398,16 @@ def find_fixed_points(
         return FixedPointReport(points=(point,), search_interval=(lo, hi), degenerate_line=True)
 
     roots: list[float] = [init.q_star]
-    report_tol = DEFAULT_TOLERANCES.fixed_point_report
     for i in range(_FP_GRID):
         a, b, fa, fb = qs[i], qs[i + 1], vals[i], vals[i + 1]
         if fa == 0.0:
             root = float(a)
         elif fa * fb < 0.0:
-            root = _brent(resid, a, b, xtol=1e-12, rtol=_RTOL)
+            root = _brent(resid, a, b, xtol=_ROOT_XTOL, rtol=_RTOL)
         else:
             continue
         if all(abs(root - r) > 1e-6 * max(1.0, root) for r in roots):
-            if abs(resid(root)) <= report_tol * max(1.0, root):
+            if abs(resid(root)) <= _FIXED_POINT_REPORT_TOL * max(1.0, root):
                 roots.append(root)
 
     points = tuple(

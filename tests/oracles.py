@@ -49,7 +49,7 @@ def correlation_map(spec, sw2, sb2, q_star, rho):
 
 
 def dense_forward(init, x0, depth, rng):
-    """Per-layer (h, x) of one network drawn with explicit weights.
+    """Per-layer (h, x, w) of one network drawn with explicit weights.
 
     The simulator's protocol, written out: layer 1 has N(0, 1/N) weights and
     no bias, later layers N(0, sw2/N) weights and N(0, sb2) biases, and
@@ -67,5 +67,15 @@ def dense_forward(init, x0, depth, rng):
             b = rng.normal(0.0, math.sqrt(init.sb2), size=n)
         h = x @ w.T + b
         x = init.spec.evaluate(h)
-        out.append((h, x))
+        out.append((h, x, w))
     return out
+
+
+def dense_backward(init, states, delta):
+    """Per-layer error moments, bottom layer first, of the top error delta
+    pulled down through the explicit weights of ``dense_forward``."""
+    v_hat = [float(np.mean(delta * delta))]
+    for (h, _, _), (_, _, w) in zip(states[-2::-1], states[:0:-1]):
+        delta = (delta @ w) * init.spec.derivative(h)
+        v_hat.append(float(np.mean(delta * delta)))
+    return v_hat[::-1]

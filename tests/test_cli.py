@@ -218,6 +218,15 @@ class TestSweep:
                         "--sparsity", "0.85"])
         assert proc.returncode == 1
 
+    def test_empty_sparsity_list_is_usage_error(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
+                        "--sparsity", ",", "--qstar-range", "0.5:3:3",
+                        "--m-range", "1:2:2", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "--sparsity: need at least one value" in proc.stderr
+        assert not out.exists()
+
 
 class TestFixedPointsCommand:
     def test_reports_outer_fixed_point(self):
@@ -268,6 +277,21 @@ class TestSimulateAndCorrelate:
                  "--seed", "7", "--backward", "--out", str(out)])
         rows = read_csv(out)
         assert all(r["v_hat"] != "" for r in rows)
+
+    def test_backward_keeps_forward_columns(self, tmp_path):
+        """The backward run draws its forward pass exactly as the forward
+        run does, so for one seed the forward columns match byte for byte."""
+        columns = {}
+        for extra in ([], ["--backward"]):
+            out = tmp_path / f"sim{len(extra)}.csv"
+            proc = run_cli(["simulate", "--activation", "crelu", "-s", "0.85",
+                            "--qstar", "1", "--vprime", "0.7", "--depth", "5",
+                            "--width", "64", "--batch", "8", "--seed", "7",
+                            "--out", str(out)] + extra)
+            assert proc.returncode == 0
+            lines = out.read_text().splitlines()
+            columns[bool(extra)] = [line.split(",")[:4] for line in lines]
+        assert columns[True] == columns[False]
 
     @pytest.mark.parametrize("variance", ["-1", "inf"])
     def test_bad_input_variance_is_usage_error(self, tmp_path, variance):
@@ -387,6 +411,31 @@ class TestConfigFile:
         proc = run_cli(["solve", "--config", str(cfg), "--activation", "crelu",
                         "-s", "0.85", "--qstar", "1", "--vprime", "0.7"])
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("key, value", [("depth", 5.5), ("seed", 1.5),
+                                            ("backward", "false")])
+    def test_wrongly_typed_value_is_usage_error(self, tmp_path, key, value):
+        """Config values pass the flag's own type check, as flags do."""
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "sim.csv"
+        cfg.write_text(json.dumps({"depth": 4, "seed": 7, "out": str(out), key: value}))
+        proc = run_cli(["simulate", "--config", str(cfg), "--activation", "crelu",
+                        "-s", "0.85", "--qstar", "1", "--vprime", "0.7", "--width", "64"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_value_outside_choices_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quantity": "Vprim"}))
+        out = tmp_path / "grid.csv"
+        proc = run_cli(["sweep", "--config", str(cfg), "--activation", "crelu",
+                        "--sparsity", "0.85", "--qstar-range", "0.5:3:3",
+                        "--m-range", "1:2:2", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "'quantity'" in proc.stderr
+        assert not out.exists()
 
 
 # runs each argv of the JSON list in sys.argv[1] through cli.main and prints
