@@ -12,11 +12,13 @@ at its fixed point from layer 2 onward.
 
 No run builds a weight matrix.  Given the activations X (rows x N)
 feeding a layer, its N pre-activation columns are independent
-N(0, sw2/N X X^T + sb2 1 1^T) vectors (conditional Gaussianity), so each
-layer draws them from that law directly: rows x N normals instead of N x N,
-exact in law.  ``run_backward`` pulls an error down through the same
-layers by drawing the weights' product with the error from their law given
-the forward draw (Gaussian conditioning), again without the N x N matrix.
+N(0, C) vectors with C = sw2/N X X^T + sb2 1 1^T (conditional
+Gaussianity), so each layer factors the rows x rows matrix C with one
+symmetric eigendecomposition and draws the columns from it: rows x N
+normals instead of N x N, exact in law.  ``run_backward`` pulls an error
+down through the same layers by drawing the weights' product with the
+error from their law given the forward draw (Gaussian conditioning), from
+the same factor and again without the N x N matrix.
 
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
@@ -31,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import maps
+from ._streams import _check_seed, _philox
 from .gaussian import _check_q
 from .solver import EocInit
 
@@ -40,10 +43,11 @@ _STREAM_TOP_ERROR = 3
 _STREAM_PAIR = 4
 _STREAM_COMPLEMENT = 5
 
+_EPS = np.finfo(float).eps
+
 
 def _layer_rng(seed: int, layer: int, stream: int) -> np.random.Generator:
-    key = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((layer << 8) | stream))
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return _philox(seed, (layer << 8) | stream)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,7 @@ class SimConfig:
             raise ValueError("width must be at least 8")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
+        _check_seed(self.seed)
         if self.input_variance is not None:
             _check_q(self.input_variance)
 
@@ -101,35 +106,55 @@ class LayerStats:
 CSV_COLUMNS = ("layer", "q_hat", "sparsity_hat", "chi1_hat", "v_hat", "rho_hat")
 
 
-def _conditional_pass(config: SimConfig, x0: np.ndarray, keep_basis: bool = False):
-    """Propagate a (rows, width) input; yields (layer, h, x, q, z).
+def _design(init: EocInit, layer: int, x: np.ndarray) -> np.ndarray:
+    """The matrix A with h = A theta for a layer fed by the activations x,
+    theta being the layer's standard-normal parameters: [sqrt(sw2/N) x,
+    sqrt(sb2) 1] over weights and bias, or sqrt(1/N) x for layer 1."""
+    n = x.shape[1]
+    if layer == 1:
+        return math.sqrt(1.0 / n) * x
+    # filled in place: np.hstack costs ten times the scaling itself here
+    a = np.empty((x.shape[0], n + 1))
+    np.multiply(x, math.sqrt(init.sw2 / n), out=a[:, :n])
+    a[:, n] = math.sqrt(init.sb2)
+    return a
+
+
+def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor the Gram matrix a a^T = U diag(lam) U^T with one eigh.
+
+    Returns (U sqrt(lam keep), U keep / sqrt(lam)).  ``keep`` is the rule
+    ``np.linalg.matrix_rank`` applies to a symmetric matrix, lam > lam_max
+    rows eps: the directions it drops carry round-off, not variance, so
+    duplicate rows, a dead layer (a = 0 keeps nothing) and more rows than
+    columns need no special case.
+    """
+    lam, u = np.linalg.eigh(a @ a.T)
+    keep = lam > lam[-1] * lam.size * _EPS
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)
+
+
+def _conditional_pass(config: SimConfig, x0: np.ndarray):
+    """Propagate a (rows, width) input; yields (layer, h, x, w, z).
 
     Each layer's pre-activations are drawn from their law given the
-    activations X below: with A = [sqrt(sw2/N) X, sqrt(sb2) 1] (layer 1:
-    sqrt(1/N) X, no bias) and A^T = Q R, the columns of h = R^T Z for
-    standard normal Z have covariance A A^T = R^T R.  The QR factor needs no
-    positive-definiteness, so duplicate rows, a dead layer (A = 0 gives
-    h = 0 exactly) and more rows than width need no special case.  Q is
-    formed only when ``keep_basis`` asks for it (q is None otherwise), as
-    forming it doubles the factorisation's cost.
+    activations below: with A = ``_design(...)`` and A A^T = U diag(lam)
+    U^T, the columns of h = U sqrt(lam keep) Z for standard normal
+    (rows, N) Z have covariance A A^T up to the round-off directions the
+    rank rule drops.  w = U keep / sqrt(lam), a rows x rows matrix, is
+    what ``run_backward`` needs of the factor besides Z: A^T w spans the
+    parameter directions the draw fixed.
     """
     n = config.width
     init = config.init
     x = x0
-    bias = np.full((x0.shape[0], 1), math.sqrt(init.sb2))
     for layer in range(1, config.depth + 1):
-        if layer == 1:
-            a = math.sqrt(1.0 / n) * x
-        else:
-            a = np.hstack([math.sqrt(init.sw2 / n) * x, bias])
-        if keep_basis:
-            q, r = np.linalg.qr(a.T)
-        else:
-            q, r = None, np.linalg.qr(a.T, mode="r")
-        z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((r.shape[0], n))
-        h = r.T @ z
+        root, w = _gram_factor(_design(init, layer, x))
+        z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((x.shape[0], n))
+        h = root @ z
         x = init.spec.evaluate(h)
-        yield layer, h, x, q, z
+        yield layer, h, x, w, z
 
 
 def _chi1_at(init: EocInit, q_hat: float) -> float:
@@ -168,41 +193,55 @@ def run_forward(config: SimConfig) -> list[LayerStats]:
     return _stats_from_states(config, _conditional_pass(config, x0))
 
 
+def _pull_down(a: np.ndarray, w: np.ndarray, z: np.ndarray, delta: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """theta delta^T for one layer, drawn from its law given the layer's
+    forward draw h = A theta (A, w and z as ``_conditional_pass`` used
+    them).
+
+    The draw fixed theta along V = A^T w, as V^T theta = Z on the kept
+    directions, so theta = V Z + (I - V V^T) theta' with theta' fresh; and
+    theta' delta^T has the law of F = Y L^T for a standard normal Y and
+    L L^T = delta delta^T from ``_gram_factor(delta)``.  Hence
+    theta delta^T = A^T [w (Z delta^T) - w w^T (A F)] + F, with one fresh
+    normal per parameter row and error row and no solve; A (theta delta^T)
+    = h delta^T holds to round-off because the forward draw and this step
+    share one ``keep`` mask through w.
+    """
+    root_delta, _ = _gram_factor(delta)
+    fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ root_delta.T
+    return a.T @ (w @ (z @ delta.T) - w @ (w.T @ (a @ fresh))) + fresh
+
+
 def run_backward(config: SimConfig) -> list[LayerStats]:
     """Forward statistics plus the second moment of a backpropagated error.
 
     A synthetic unit-variance error vector is injected at the top layer and
     pulled down through transposed weights and the activation-derivative
-    diagonal; no loss function is involved.
-
-    A layer's standard-normal parameters theta ((N+1) x N, weights over the
-    bias row) enter the forward pass only through Z = Q^T theta, so given
-    the forward draw theta = Q Z + (I - Q Q^T) theta' with theta' fresh.
-    The error step needs theta delta^T, whose fresh part has the law of
-    Y R_delta for a standard normal Y and delta^T = Q_delta R_delta: (N+1) x
-    rank normals per layer, and no solve or inverse for degenerate layers.
+    diagonal; no loss function is involved.  Each layer's weights times the
+    error come from ``_pull_down``, given the forward draw, with A rebuilt
+    from the stored activations below so per-layer state stays (h, x, w, z).
     """
     if not config.measure_backward:
         raise ValueError("config.measure_backward must be true for run_backward")
     n = config.width
-    spec = config.init.spec
+    init = config.init
     x0 = _draw_inputs(config)
-    states = list(_conditional_pass(config, x0, keep_basis=True))
+    states = list(_conditional_pass(config, x0))
     stats = _stats_from_states(config, states)
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
     v_hat = [float(np.mean(delta * delta))]
-    scale = math.sqrt(config.init.sw2 / n)
+    scale = math.sqrt(init.sw2 / n)
     for layer in range(config.depth, 1, -1):
-        _, _, _, q, z = states[layer - 1]
-        r_delta = np.linalg.qr(delta.T, mode="r")
-        y = _layer_rng(config.seed, layer, _STREAM_COMPLEMENT).standard_normal(
-            (n + 1, r_delta.shape[0])
+        _, h_below, x_below, _, _ = states[layer - 2]
+        _, _, _, w, z = states[layer - 1]
+        theta_delta = _pull_down(
+            _design(init, layer, x_below), w, z, delta,
+            _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
         )
-        fresh = y @ r_delta
-        theta_delta = q @ (z @ delta.T) + fresh - q @ (q.T @ fresh)
-        delta = scale * theta_delta[:n].T * spec.derivative(states[layer - 2][1])
+        delta = scale * theta_delta[:n].T * init.spec.derivative(h_below)
         v_hat.append(float(np.mean(delta * delta)))
 
     return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]

@@ -29,16 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._streams import _check_seed, _philox
 from .solver import EocInit
 
 SYNTHETIC_BLOBS = "synthetic-blobs"
 SMALL_DIGITS = "small-digits"
 DATASETS = (SYNTHETIC_BLOBS, SMALL_DIGITS)
-
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    key = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag))
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,7 @@ class TrainConfig:
             raise ValueError("depth must be at least 2 (first affine plus classifier)")
         if self.width < 2 or self.batch < 1 or self.epochs < 1:
             raise ValueError("width, batch and epochs must be positive")
+        _check_seed(self.seed)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.input_dim < 2:
@@ -106,7 +103,7 @@ def make_blobs(seed: int, n_samples: int, dim: int, n_classes: int) -> tuple[np.
     in the Bayes sense; any difficulty in fitting it comes from propagating
     signal through the depth of the stack, which is the point of the demo.
     """
-    rng = _rng(seed, 1000)
+    rng = _philox(seed, 1000)
     means = rng.normal(0.0, 2.0, size=(n_classes, dim))
     labels = rng.integers(0, n_classes, size=n_samples)
     x = means[labels] + rng.normal(0.0, 1.0, size=(n_samples, dim))
@@ -157,7 +154,7 @@ _MIN_SAMPLES = 7
 
 def train_val_test_split(x, y, seed):
     """20 percent held out for test, then 10 percent of the rest for validation."""
-    rng = _rng(seed, 1001)
+    rng = _philox(seed, 1001)
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
     n_test = int(round(0.2 * len(x)))
@@ -179,7 +176,7 @@ def init_params(config: TrainConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     params = []
     for layer in range(1, config.depth + 1):
         fan_in, fan_out = sizes[layer - 1], sizes[layer]
-        rng = _rng(config.seed, 2000 + layer)
+        rng = _philox(config.seed, 2000 + layer)
         if layer == 1:
             w = rng.normal(0.0, math.sqrt(1.0 / fan_in), size=(fan_out, fan_in))
             b = np.zeros(fan_out)
@@ -318,7 +315,7 @@ def train(config: TrainConfig) -> TrainReport:
     report.steps_per_epoch = max(1, math.ceil(len(x_tr) / config.batch))
     report.sparsity_at_init = observed_sparsity(params, spec, x_tr)
 
-    shuffle_rng = _rng(config.seed, 3000)
+    shuffle_rng = _philox(config.seed, 3000)
     step = 0
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(x_tr))

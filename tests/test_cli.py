@@ -304,6 +304,33 @@ class TestSimulateAndCorrelate:
         assert f"variance must be positive and finite, got {float(variance)}" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "correlate", "train"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, command, seed):
+        """A seed keys a 64-bit stream; one outside [0, 2**64) is refused
+        rather than reduced to another seed's streams."""
+        out = tmp_path / "run.csv"
+        args = {
+            "simulate": ["--depth", "4", "--width", "64", "--batch", "8", "--out", str(out)],
+            "correlate": ["--depth", "4", "--width", "64", "--batch", "8", "--rho0", "0.5",
+                          "--out", str(out)],
+            "train": ["--depth", "3", "--width", "16", "--epochs", "1", "--lr", "0.1",
+                      "--batch", "16", "--n-samples", "64", "--out", str(out)],
+        }[command]
+        proc = run_cli([command, "--activation", "crelu", "-s", "0.85", "--qstar", "1",
+                        "--vprime", "0.7", "--seed", seed] + args)
+        assert proc.returncode == 1
+        assert f"error: seed must be an integer in [0, 2**64), got {seed}" in proc.stderr
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        proc = run_cli(["simulate", "--activation", "crelu", "-s", "0.85", "--qstar", "1",
+                        "--vprime", "0.7", "--depth", "4", "--width", "64", "--batch", "8",
+                        "--seed", str(2 ** 64 - 1), "--out", str(out)])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["config"]["seed"] == 2 ** 64 - 1
+
     def test_correlate_populates_rho(self, tmp_path):
         out = tmp_path / "cor.csv"
         proc = run_cli(["correlate", "--activation", "crelu", "-s", "0.85",

@@ -86,9 +86,13 @@ class TestErrorMomentTrajectory:
     def test_simulated_growth_factors_explode_at_wide_clip(self):
         """Growth factors read off a narrow network at a wide-clip unstable
         initialisation accumulate into an exploding product by depth 100.
-        Whether one width-64 network escapes is close to a coin flip, so the
-        claim is made over an ensemble of seeds: the wide clip escapes in a
-        sizeable share of them, the solved initialisation in none."""
+        Whether one width-64 network escapes is close to a coin flip, and
+        even the solved initialisation escapes now and then at width 64
+        (1.3 % of 3000 seeds under explicit dense weights, 1.5 % under the
+        simulator), so the claim is a gap in escape rates over 64 seeds:
+        the wide clip in at least a quarter of them (it escapes in 48 %,
+        25-37 per block of 64), the solved initialisation in at most 6
+        (0-3 per block of 64)."""
         seeds = 64
 
         def escapes(init):
@@ -100,4 +104,4 @@ class TestErrorMomentTrajectory:
             return count
 
         assert escapes(init_from_m("crelu", 0.85, 1.0, 2.0)) >= 0.25 * seeds
-        assert escapes(solve_init("crelu", 0.85, 1.0, 0.7)) == 0
+        assert escapes(solve_init("crelu", 0.85, 1.0, 0.7)) <= 6
