@@ -2,10 +2,7 @@
 
 from .activations import ActivationSpec
 from .finite_width import (
-    DegenerateSlopeError,
     NloState,
-    lemma_q1_closed_form,
-    lemma_r_closed_form,
     log_theorem1_bound,
     nlo_trajectory,
     theorem1_bound,
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationSpec",
-    "DegenerateSlopeError",
     "EocInit",
     "FixedPoint",
     "FixedPointReport",
@@ -68,8 +64,6 @@ __all__ = [
     "gauss_expect",
     "init_from_m",
     "jacobian_moments",
-    "lemma_q1_closed_form",
-    "lemma_r_closed_form",
     "log_theorem1_bound",
     "nlo_trajectory",
     "normal_cdf",

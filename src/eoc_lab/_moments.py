@@ -21,6 +21,7 @@ one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
     E[phi^4]     = q^2 [i4 - 4a i3 + 6a^2 i2 - 4a^3 i1 + a^4 i0 + x^4 tail]
     P(phi' = 1)  = i0
     V'  = sw2 (i0 - x g(b))                          chi1  = sw2 i0
+    1 - V'/chi1 = x g(b) / i0
     V'' = sw2 / 2q (a g(a) - b g(b) + x (1 - b^2) g(b))
     chi1' = sw2 / 2q (a g(a) - b g(b))
 
@@ -163,12 +164,21 @@ class _Kernel:
         x, b, gb = self.x, self.b, self.gb
         return self._family(sw2 / (2.0 * self.q) * (self._edge + x * (1.0 - b * b) * gb))
 
-    # one-sided quantities
+    @property
+    def slope_gap(self):
+        """1 - V'/chi1, which is x g(b) / i0 for both clipped families and
+        0 for relu; at a critical init it is 1 - V'(q*) without the
+        cancellation of 1 - V', so it stays exact where V' rounds to 1."""
+        if self.kind == RELU:
+            return 0.0 * self.q
+        return self.x * self.gb / self.i0
 
     @property
     def slope_ratio(self):
-        """V'/chi1 of the one-sided family, 1 - x g(b) / i0."""
-        return 1.0 - self.x * self.gb / self.i0
+        """V'/chi1, 1 - slope_gap."""
+        return 1.0 - self.slope_gap
+
+    # one-sided quantities
 
     @property
     def first(self):

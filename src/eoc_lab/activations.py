@@ -6,7 +6,8 @@ Three pointwise nonlinearities are supported:
 * ``crelu``:  a shifted and clipped ReLU.  Zero below the threshold tau,
   linear with unit slope on [tau, tau + m], constant at the clip level m
   above.  Outputs are exactly zero with probability Phi(tau / sqrt(q)) when
-  the input is N(0, q), which is how a target sparsity is dialled in.
+  the input is N(0, q), which is how a target sparsity is dialled in
+  (``solver.sparsity_threshold`` inverts that law for both families).
 * ``cst``:    the odd (two-sided) counterpart, a clipped soft-threshold.
   Zero on |x| < tau, sign(x) * (|x| - tau) on tau <= |x| <= tau + m and
   sign(x) * m beyond.
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .gaussian import _check_q, normal_cdf
 
 RELU = "relu"
 CRELU = "crelu"
@@ -62,23 +61,6 @@ class ActivationSpec:
             return
         _check_shape(self.tau, self.m)
 
-    @classmethod
-    def relu(cls) -> "ActivationSpec":
-        return cls(RELU)
-
-    @classmethod
-    def crelu(cls, tau: float, m: float) -> "ActivationSpec":
-        return cls(CRELU, float(tau), float(m))
-
-    @classmethod
-    def cst(cls, tau: float, m: float) -> "ActivationSpec":
-        return cls(CST, float(tau), float(m))
-
-    @property
-    def odd(self) -> bool:
-        """Whether the activation is an odd function of its input."""
-        return self.kind == CST
-
     def evaluate(self, x):
         """Pointwise activation value; accepts scalars or arrays."""
         x = np.asarray(x, dtype=float)
@@ -113,15 +95,6 @@ class ActivationSpec:
             return (self.tau, self.tau + self.m)
         return (-self.tau - self.m, -self.tau, self.tau, self.tau + self.m)
 
-    def zero_probability(self, q: float) -> float:
-        """P(activation output is exactly 0) for an N(0, q) input."""
-        q = _check_q(q)
-        if self.kind == RELU:
-            return 0.5
-        if self.kind == CRELU:
-            return normal_cdf(self.tau / math.sqrt(q))
-        return math.erf(self.tau / math.sqrt(2.0 * q))
-
     def to_dict(self) -> dict:
         if self.kind == RELU:
             return {"kind": RELU, "tau": 0.0, "m": None}
@@ -131,5 +104,5 @@ class ActivationSpec:
     def from_dict(cls, data: dict) -> "ActivationSpec":
         kind = data["kind"]
         if kind == RELU:
-            return cls.relu()
+            return cls(RELU)
         return cls(kind, float(data["tau"]), float(data["m"]))

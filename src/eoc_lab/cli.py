@@ -156,14 +156,12 @@ def _float_list(text: str) -> list[float]:
 def _cmd_solve(args) -> int:
     init = _build_init(args)
     diag = maps.diagnostics(init.spec, init.sw2, init.sb2, init.q_star)
-    bound = None
-    if 0.0 < init.v_prime_at_fp < 1.0:
-        bound = finite_width.theorem1_bound(init)
+    bound = float(finite_width._envelope(_Kernel.at(init.spec, init.q_star), init.sw2))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "init": init.to_dict(),
         "diagnostics": diag.to_dict(),
-        "nlo_bound": bound,
+        "nlo_bound": None if math.isnan(bound) else bound,
     }
     _emit_json(doc, args.out)
     return EXIT_OK
@@ -196,9 +194,7 @@ def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor):
             values = getattr(k, _GAIN_QUANTITIES[quantity])(sw2)
             infeasible = failure == solver._SATURATED
         elif quantity == "nlo_bound":
-            values = finite_width._envelope(
-                k.v_prime(sw2), k.v_prime2(sw2), finite_width._innovation(k, sw2)
-            )
+            values = finite_width._envelope(k, sw2)
             infeasible = failure >= 0
         else:
             values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
@@ -288,10 +284,6 @@ def _cmd_nlo(args) -> int:
     return EXIT_OK
 
 
-def _stats_rows(stats):
-    return [st.to_row() for st in stats]
-
-
 def _cmd_simulate(args) -> int:
     _require(args, ["depth", "width", "out"])
     init = _build_init(args)
@@ -301,16 +293,16 @@ def _cmd_simulate(args) -> int:
         width=args.width,
         batch=args.batch,
         seed=args.seed,
-        measure_backward=bool(args.backward),
         input_variance=args.input_variance,
     )
     stats = simulator.run_backward(config) if args.backward else simulator.run_forward(config)
-    _write_csv(args.out, simulator.CSV_COLUMNS, _stats_rows(stats))
+    _write_csv(args.out, simulator.CSV_COLUMNS, [st.to_row() for st in stats])
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",
             "config": config.to_dict(),
+            "backward": args.backward,
             "out": args.out,
         }
     )
@@ -324,7 +316,7 @@ def _cmd_correlate(args) -> int:
         init=init, depth=args.depth, width=args.width, batch=args.batch, seed=args.seed
     )
     stats = simulator.run_correlation(config, args.rho0)
-    _write_csv(args.out, simulator.CSV_COLUMNS, _stats_rows(stats))
+    _write_csv(args.out, simulator.CSV_COLUMNS, [st.to_row() for st in stats])
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,

@@ -34,10 +34,6 @@ from .solver import EocInit
 S1_GAUSSIAN_WEIGHTS = -1.0
 
 
-class DegenerateDerivativeError(ValueError):
-    """Raised when the activation derivative vanishes almost surely."""
-
-
 @dataclass(frozen=True)
 class JacobianMoments:
     """First two spectral moments of J J^T for a depth-L stack."""
@@ -65,19 +61,17 @@ class JacobianMoments:
 def jacobian_moments(init: EocInit, depth: int) -> JacobianMoments:
     """Spectral moments at a critical initialisation.
 
-    Raises if chi1(q*) deviates from 1 (the closed forms assume it) or if
-    the derivative moment vanishes.
+    Raises if chi1(q*) deviates from 1, or is nan, as the closed forms
+    assume it is 1.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     c = maps.chi1(init.spec, init.sw2, init.q_star)
-    if abs(c - 1.0) > 1e-8:
+    if not abs(c - 1.0) <= 1e-8:
         raise ValueError(
             f"spectral moments are defined here only at criticality; chi1(q*) = {c!r}"
         )
     mu1 = float(_Kernel.at(init.spec, init.q_star).linear)
-    if mu1 <= 0.0:
-        raise DegenerateDerivativeError("derivative moment mu1 vanishes")
     mu2 = mu1  # indicator derivative: identical moments of every order
     ratio = mu2 / (mu1 * mu1)
     growth = init.sw2 * mu1

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import _moments
 from ._moments import _Kernel, _value
-from .activations import ActivationSpec
+from .activations import CST, ActivationSpec
 from .gaussian import _check_q, gauss_expect
 
 
@@ -129,7 +129,7 @@ def correlation_map_precise(
     if rho == -1.0:
         # phi(z) phi(-z) is -phi(z)^2 for the odd family and vanishes for the
         # others, whose threshold is nonnegative
-        moment = -float(_Kernel.at(spec, q_star).second) if spec.odd else 0.0
+        moment = -float(_Kernel.at(spec, q_star).second) if spec.kind == CST else 0.0
         return (sw2 * moment + sb2) / q_star
     sq = math.sqrt(q_star)
     sigma = sq * math.sqrt(1.0 - rho * rho)

@@ -59,7 +59,6 @@ class SimConfig:
     width: int
     batch: int = 64
     seed: int = 0
-    measure_backward: bool = False
     # variance of the drawn inputs; defaults to q*, override to probe the
     # map away from its fixed point
     input_variance: float | None = None
@@ -82,7 +81,6 @@ class SimConfig:
             "width": self.width,
             "batch": self.batch,
             "seed": self.seed,
-            "measure_backward": self.measure_backward,
             "input_variance": self.input_variance,
         }
 
@@ -157,28 +155,16 @@ def _conditional_pass(config: SimConfig, x0: np.ndarray):
         yield layer, h, x, w, z
 
 
-def _chi1_at(init: EocInit, q_hat: float) -> float:
+def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> LayerStats:
+    """The forward statistics of one layer's pre-activations h and
+    activations x, the row every run reports."""
+    q_hat = float(np.mean(h * h))
     # a fully dead layer has no growth factor; chi1 -> 0 as q -> 0 for a
-    # positive threshold, so return the limit instead of failing
-    if q_hat <= 0.0:
-        return 0.0
-    return maps.chi1(init.spec, init.sw2, q_hat)
-
-
-def _stats_from_states(config: SimConfig, states) -> list[LayerStats]:
-    init = config.init
-    out = []
-    for layer, h, x, *_ in states:
-        q_hat = float(np.mean(h * h))
-        out.append(
-            LayerStats(
-                layer=layer,
-                q_hat=q_hat,
-                sparsity_hat=float(np.mean(x == 0.0)),
-                chi1_hat=_chi1_at(init, q_hat),
-            )
-        )
-    return out
+    # positive threshold, so report the limit instead of failing
+    chi1_hat = maps.chi1(init.spec, init.sw2, q_hat) if q_hat > 0.0 else 0.0
+    return LayerStats(
+        layer=layer, q_hat=q_hat, sparsity_hat=float(np.mean(x == 0.0)), chi1_hat=chi1_hat
+    )
 
 
 def _draw_inputs(config: SimConfig) -> np.ndarray:
@@ -190,7 +176,8 @@ def _draw_inputs(config: SimConfig) -> np.ndarray:
 def run_forward(config: SimConfig) -> list[LayerStats]:
     """Forward propagation statistics, deterministic in the seed."""
     x0 = _draw_inputs(config)
-    return _stats_from_states(config, _conditional_pass(config, x0))
+    return [_layer_stats(config.init, layer, h, x)
+            for layer, h, x, *_ in _conditional_pass(config, x0)]
 
 
 def _pull_down(a: np.ndarray, w: np.ndarray, z: np.ndarray, delta: np.ndarray,
@@ -222,13 +209,11 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     error come from ``_pull_down``, given the forward draw, with A rebuilt
     from the stored activations below so per-layer state stays (h, x, w, z).
     """
-    if not config.measure_backward:
-        raise ValueError("config.measure_backward must be true for run_backward")
     n = config.width
     init = config.init
     x0 = _draw_inputs(config)
     states = list(_conditional_pass(config, x0))
-    stats = _stats_from_states(config, states)
+    stats = [_layer_stats(init, layer, h, x) for layer, h, x, *_ in states]
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
@@ -274,13 +259,11 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
     forward pass, so each layer's pre-activations are drawn jointly for all
     rows, as shared weights would give.
     """
-    if not -1.0 <= rho0 <= 1.0:
-        raise ValueError(f"rho0 must lie in [-1, 1], got {rho0}")
-    xa, xb = _correlated_input_pair(config, rho0)
+    xa, xb = _correlated_input_pair(config, maps._check_rho(rho0))
     stacked = np.concatenate([xa, xb], axis=0)
 
     out = []
-    init = config.init
+    # consumed layer by layer: only the current layer's draw is alive
     for layer, h, x, *_ in _conditional_pass(config, stacked):
         ha, hb = h[: config.batch], h[config.batch :]
         dot = np.sum(ha * hb, axis=1)
@@ -289,28 +272,7 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
         denom = np.sqrt(qa * qb)
         # a dead pair has no defined correlation; report nan rather than crash
         rho_rows = np.divide(dot, denom, out=np.full_like(dot, np.nan), where=denom > 0)
-        rho_hat = float(np.mean(rho_rows))
-        q_hat = float(np.mean(h * h))
-        out.append(
-            LayerStats(
-                layer=layer,
-                q_hat=q_hat,
-                sparsity_hat=float(np.mean(x == 0.0)),
-                chi1_hat=_chi1_at(init, q_hat),
-                rho_hat=rho_hat,
-            )
-        )
+        out.append(replace(_layer_stats(config.init, layer, h, x),
+                           rho_hat=float(np.mean(rho_rows))))
     return out
 
-
-def iterated_correlation(init: EocInit, rho0: float, depth: int) -> list[float]:
-    """The infinite-width correlation trajectory the simulator is checked
-    against: rho repeatedly passed through the one-layer map, after an
-    affine first layer that leaves it unchanged."""
-    rho = float(rho0)
-    out = [rho]
-    for _ in range(depth - 1):
-        rho = maps.correlation_map_precise(init.spec, init.sw2, init.sb2, init.q_star, rho)
-        rho = min(1.0, max(-1.0, rho))
-        out.append(rho)
-    return out

@@ -135,8 +135,10 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 class EocInit:
     """A complete critical initialisation.
 
-    Invariants (validated on construction for the clipped families):
-    chi1(q*) = 1 and V(q*) = q* to within the fixed-point tolerance.
+    Invariants: chi1(q*) = 1 and V(q*) = q* to within the fixed-point
+    tolerance.  The constructors :func:`solve_init`, :func:`init_from_m`
+    and :func:`relu_init` check them; the dataclass itself does not, so an
+    instance built by hand (or by ``from_dict``) is taken as given.
     ``v_prime_at_fp`` is the achieved slope V'(q*), which for the one-sided
     family equals the requested target up to root-finder tolerance.
     """
@@ -332,9 +334,8 @@ def relu_init(q_star: float) -> EocInit:
     V(q) = q holds identically, so every variance is a (marginal) fixed
     point and the stored q* only anchors input scaling downstream.
     """
-    spec = ActivationSpec.relu()
     init = EocInit(
-        spec=spec, q_star=q_star, sw2=2.0, sb2=0.0, s=0.5, v_prime_at_fp=1.0
+        spec=ActivationSpec(RELU), q_star=q_star, sw2=2.0, sb2=0.0, s=0.5, v_prime_at_fp=1.0
     )
     validate_init(init)
     return init

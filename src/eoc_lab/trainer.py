@@ -65,11 +65,7 @@ class TrainConfig:
             raise ValueError(f"input_dim must be at least 2, got {self.input_dim}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
-        if self.n_samples < _MIN_SAMPLES:
-            raise ValueError(
-                f"n_samples must be at least {_MIN_SAMPLES} so that the train, validation"
-                f" and test splits are nonempty, got {self.n_samples}"
-            )
+        _check_sample_count("n_samples", self.n_samples)
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == SMALL_DIGITS and not self.data_csv:
@@ -114,26 +110,29 @@ def load_digits_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load the 8x8 grayscale digit CSV.
 
     Schema: header ``label,pixel_0,...,pixel_63``; labels are integers in
-    [0, 9] and pixels floats in [0, 16].
+    [0, 9] and pixels floats in [0, 16], with at least as many rows as the
+    train, validation and test splits need.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
         expected = ["label"] + [f"pixel_{i}" for i in range(64)]
-        if header != expected:
+        if next(reader, None) != expected:
             raise ValueError("digit CSV header does not match label,pixel_0..pixel_63")
         labels, rows = [], []
         for row in reader:
+            if not row:
+                raise ValueError(f"digit CSV line {reader.line_num} is blank")
             labels.append(int(row[0]))
             pixels = [float(v) for v in row[1:]]
             if len(pixels) != 64:
                 raise ValueError("digit CSV row does not have 64 pixels")
             rows.append(pixels)
+    _check_sample_count("digit CSV data rows", len(rows))
     x = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if x.size and (x.min() < 0.0 or x.max() > 16.0):
+    if x.min() < 0.0 or x.max() > 16.0:
         raise ValueError("digit pixels must lie in [0, 16]")
-    if y.size and (y.min() < 0 or y.max() > 9):
+    if y.min() < 0 or y.max() > 9:
         raise ValueError("digit labels must lie in [0, 9]")
     return x, y
 
@@ -150,6 +149,14 @@ def normalize_inputs(x: np.ndarray, q_star: float) -> np.ndarray:
 # the smallest sample count from which train_val_test_split leaves every
 # split nonempty
 _MIN_SAMPLES = 7
+
+
+def _check_sample_count(name: str, n: int) -> None:
+    if n < _MIN_SAMPLES:
+        raise ValueError(
+            f"{name} must be at least {_MIN_SAMPLES} so that the train, validation"
+            f" and test splits are nonempty, got {n}"
+        )
 
 
 def train_val_test_split(x, y, seed):
@@ -265,14 +272,6 @@ class TrainReport:
     steps_per_epoch: int = 0
     step_log: list[tuple[int, int, float]] = field(default_factory=list)
 
-    def steps_to_loss(self, threshold: float) -> int | None:
-        """First cumulative step count at which the epoch-mean training loss
-        is at or below the threshold; None if never reached."""
-        for epoch, loss in enumerate(self.train_losses, start=1):
-            if math.isfinite(loss) and loss <= threshold:
-                return epoch * self.steps_per_epoch
-        return None
-
     def to_dict(self) -> dict:
         return {
             "train_losses": self.train_losses,
@@ -300,6 +299,11 @@ def load_dataset(config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     x, y = load_digits_csv(config.data_csv)
     if x.shape[1] != config.input_dim:
         raise ValueError(f"digit data has dim {x.shape[1]}, config says {config.input_dim}")
+    if y.max() >= config.n_classes:
+        raise ValueError(
+            f"digit label {y.max()} needs n_classes of at least {y.max() + 1},"
+            f" config says {config.n_classes}"
+        )
     return x, y
 
 

@@ -1,8 +1,11 @@
-"""Quadrature routes the closed forms are held against.
+"""Independent routes the library is held against.
 
-They evaluate the defining integrals directly, independently of the kernel
-in ``eoc_lab._moments``, and are slower and (for the tensor rule) coarser
-than the library's closed forms.
+The quadrature routes evaluate the defining integrals directly,
+independently of the kernel in ``eoc_lab._moments``, and are slower and
+(for the tensor rule) coarser than the library's closed forms.  The dense
+samplers draw explicit weight matrices.  The lemma closed forms sum the
+finite-width recursions geometrically, and ``iterated_correlation`` is the
+infinite-width correlation trajectory the simulator is checked against.
 """
 
 import functools
@@ -10,8 +13,9 @@ import math
 
 import numpy as np
 
+from eoc_lab.finite_width import fourth_moment_innovation
 from eoc_lab.gaussian import gauss_expect
-from eoc_lab.maps import correlation_map_precise
+from eoc_lab.maps import correlation_map_precise, v_prime2
 
 
 @functools.cache
@@ -79,3 +83,54 @@ def dense_backward(init, states, delta):
         delta = (delta @ w) * init.spec.derivative(h)
         v_hat.append(float(np.mean(delta * delta)))
     return v_hat[::-1]
+
+
+def iterated_correlation(init, rho0, depth):
+    """rho repeatedly passed through the one-layer map, after an affine
+    first layer that leaves it unchanged."""
+    rho = float(rho0)
+    out = [rho]
+    for _ in range(depth - 1):
+        rho = correlation_map_precise(init.spec, init.sw2, init.sb2, init.q_star, rho)
+        rho = min(1.0, max(-1.0, rho))
+        out.append(rho)
+    return out
+
+
+class DegenerateSlopeError(ValueError):
+    """Raised when V'(q*) = 1 makes the geometric closed forms singular."""
+
+
+def _check_slope(init):
+    vp = init.v_prime_at_fp
+    if abs(vp - 1.0) < 1e-12:
+        raise DegenerateSlopeError("V'(q*) = 1; geometric closed form is singular")
+    return vp
+
+
+def lemma_r_closed_form(init, layer):
+    """Closed form of the fourth-moment deviation r at a given layer (>= 2)."""
+    if layer < 2:
+        raise ValueError("closed form for r holds for layer >= 2")
+    vp = _check_slope(init)
+    inject = fourth_moment_innovation(init)
+    return inject * (1.0 - vp ** (2 * (layer - 1))) / (1.0 - vp * vp)
+
+
+def lemma_q1_closed_form(init, layer):
+    """Closed form of the width-correction q1 at a given layer (>= 3).
+
+    Summing q1_l = (1/2) V'' sum_{i=0}^{l-3} V'^i r_{l-i-1} over the closed
+    form of r gives, with n = l - 2,
+
+        q1_l = (V'' inject / 2) (1 - V'^n) (1 - V'^(n+1)) / ((1 - V') (1 - V'^2)),
+
+    whose limit in l is ``theorem1_bound`` up to the signs it drops.
+    """
+    if layer < 3:
+        raise ValueError("closed form for q1 holds for layer >= 3")
+    vp = _check_slope(init)
+    vpp = v_prime2(init.spec, init.sw2, init.q_star)
+    n = layer - 2
+    geometric = (1.0 - vp ** n) * (1.0 - vp ** (n + 1)) / ((1.0 - vp) * (1.0 - vp * vp))
+    return 0.5 * vpp * fourth_moment_innovation(init) * geometric

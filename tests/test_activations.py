@@ -5,50 +5,53 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eoc_lab.activations import ActivationSpec
+from eoc_lab.solver import sparsity_threshold
 
 
 class TestPiecewiseValues:
     def test_clipped_relu_below_threshold(self):
-        assert ActivationSpec.crelu(1.0, 1.0).evaluate(0.5) == 0.0
+        assert ActivationSpec("crelu", 1.0, 1.0).evaluate(0.5) == 0.0
 
     def test_clipped_relu_saturates(self):
-        assert ActivationSpec.crelu(1.0, 1.0).evaluate(2.5) == 1.0
+        assert ActivationSpec("crelu", 1.0, 1.0).evaluate(2.5) == 1.0
 
     def test_soft_threshold_negative_branch(self):
-        assert ActivationSpec.cst(1.0, 1.0).evaluate(-1.5) == -0.5
+        assert ActivationSpec("cst", 1.0, 1.0).evaluate(-1.5) == -0.5
 
     def test_zero_maps_to_zero(self):
-        for spec in (ActivationSpec.relu(), ActivationSpec.crelu(0.7, 1.3), ActivationSpec.cst(0.7, 1.3)):
+        for spec in (ActivationSpec("relu"), ActivationSpec("crelu", 0.7, 1.3),
+                     ActivationSpec("cst", 0.7, 1.3)):
             assert spec.evaluate(0.0) == 0.0
 
     def test_relu_matches_numpy(self, rng):
         x = rng.normal(size=1000)
-        assert_allclose(ActivationSpec.relu().evaluate(x), np.maximum(x, 0.0))
+        assert_allclose(ActivationSpec("relu").evaluate(x), np.maximum(x, 0.0))
 
 
 class TestDerivative:
     def test_linear_segment(self):
-        spec = ActivationSpec.crelu(1.0, 1.0)
+        spec = ActivationSpec("crelu", 1.0, 1.0)
         assert spec.derivative(1.5) == 1.0
 
     def test_clipped_region(self):
-        spec = ActivationSpec.crelu(1.0, 1.0)
+        spec = ActivationSpec("crelu", 1.0, 1.0)
         assert spec.derivative(3.0) == 0.0
 
     def test_negative_linear_segment(self):
-        assert ActivationSpec.cst(1.0, 1.0).derivative(-1.2) == 1.0
+        assert ActivationSpec("cst", 1.0, 1.0).derivative(-1.2) == 1.0
 
     def test_zero_at_kinks(self):
-        crelu = ActivationSpec.crelu(1.0, 1.0)
+        crelu = ActivationSpec("crelu", 1.0, 1.0)
         assert crelu.derivative(1.0) == 0.0
         assert crelu.derivative(2.0) == 0.0
-        cst = ActivationSpec.cst(0.5, 1.5)
+        cst = ActivationSpec("cst", 0.5, 1.5)
         for kink in cst.kinks():
             assert cst.derivative(kink) == 0.0
-        assert ActivationSpec.relu().derivative(0.0) == 0.0
+        assert ActivationSpec("relu").derivative(0.0) == 0.0
 
     def test_matches_finite_differences_away_from_kinks(self, rng):
-        specs = [ActivationSpec.relu(), ActivationSpec.crelu(0.8, 1.4), ActivationSpec.cst(0.6, 0.9)]
+        specs = [ActivationSpec("relu"), ActivationSpec("crelu", 0.8, 1.4),
+                 ActivationSpec("cst", 0.6, 0.9)]
         h = 1e-6
         for spec in specs:
             x = rng.uniform(-4.0, 4.0, size=4000)
@@ -60,42 +63,38 @@ class TestDerivative:
 
 class TestShapeProperties:
     def test_clipped_relu_bounded_and_monotone(self, rng):
-        spec = ActivationSpec.crelu(0.9, 1.7)
+        spec = ActivationSpec("crelu", 0.9, 1.7)
         x = np.sort(rng.uniform(-6.0, 6.0, size=5000))
         y = spec.evaluate(x)
         assert np.all(np.abs(y) <= spec.m)
         assert np.all(np.diff(y) >= 0.0)
 
     def test_soft_threshold_odd(self, rng):
-        spec = ActivationSpec.cst(0.8, 1.1)
+        spec = ActivationSpec("cst", 0.8, 1.1)
         x = rng.uniform(-5.0, 5.0, size=5000)
         assert_allclose(spec.evaluate(-x), -spec.evaluate(x), atol=0.0)
 
     def test_sparsity_identity_monte_carlo(self):
-        """P(output = 0) matches the Gaussian-law prediction within 3 SE."""
+        """At the threshold ``sparsity_threshold(kind, s, q)`` the output of
+        an N(0, q) input is exactly 0 at rate s, within 3 SE."""
         cases = [
-            (ActivationSpec.crelu(1.04, 1.2), 1.0),
-            (ActivationSpec.crelu(0.84, 2.0), 2.0),
-            (ActivationSpec.cst(1.44, 1.0), 1.0),
-            (ActivationSpec.cst(0.84, 1.5), 0.5),
+            ("relu", 0.5, 1.0, None),
+            ("crelu", 0.85, 1.0, 1.2),
+            ("crelu", 0.8, 2.0, 2.0),
+            ("cst", 0.85, 1.0, 1.0),
+            ("cst", 0.6, 0.5, 1.5),
         ]
         n = 1_000_000
-        for i, (spec, q) in enumerate(cases):
+        for i, (kind, s, q, m) in enumerate(cases):
+            spec = ActivationSpec(kind, sparsity_threshold(kind, s, q), m)
             rng = np.random.default_rng(500 + i)
             z = np.sqrt(q) * rng.standard_normal(n)
             frac = float(np.mean(spec.evaluate(z) == 0.0))
-            p = spec.zero_probability(q)
-            se = np.sqrt(p * (1.0 - p) / n)
-            assert abs(frac - p) <= 3.0 * se
+            se = np.sqrt(s * (1.0 - s) / n)
+            assert abs(frac - s) <= 3.0 * se
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("q", [-1.0, 0.0, np.nan, np.inf])
-    def test_zero_probability_rejects_bad_variance(self, q):
-        for spec in (ActivationSpec.relu(), ActivationSpec.crelu(0.5, 1.0), ActivationSpec.cst(0.5, 1.0)):
-            with pytest.raises(ValueError, match="variance must be positive and finite"):
-                spec.zero_probability(q)
-
     def test_relu_ignores_shape_parameters(self):
         spec = ActivationSpec("relu", 3.0, 7.0)
         assert spec.tau == 0.0 and spec.m == np.inf
@@ -109,5 +108,6 @@ class TestSpecValidation:
             ActivationSpec("softplus", 0.5, 1.0)
 
     def test_json_roundtrip(self):
-        for spec in (ActivationSpec.relu(), ActivationSpec.crelu(0.3, 2.0), ActivationSpec.cst(1.1, 0.4)):
+        for spec in (ActivationSpec("relu"), ActivationSpec("crelu", 0.3, 2.0),
+                     ActivationSpec("cst", 1.1, 0.4)):
             assert ActivationSpec.from_dict(spec.to_dict()) == spec

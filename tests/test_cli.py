@@ -162,13 +162,15 @@ class TestSweep:
         ("Vprime", "crelu", "0.5:3:4"),
         ("Vprimeprime", "crelu", "0.5:3:4"),
         ("chi1prime", "cst", "0.5:3:4"),
-        # the low-q* corner of this grid is infeasible
+        # at the low-q* corner of this grid V'(q*) rounds to 1.0 (m >= 2.5)
+        # or to within 5.1e-13 of it (m = 2), while the bound stays finite
         ("nlo_bound", "cst", "0.09:3:6"),
         ("vmap_curve", "crelu", "0.1:5:7"),
     ])
     def test_array_sweep_matches_scalar_calls(self, tmp_path, capsys, quantity, kind, q_range):
         """Every cell of the whole-grid sweep equals the scalar public calls
-        to 1e-12 relative, and its nan cells are exactly the infeasible ones."""
+        to 1e-12 relative, its nan cells are exactly the infeasible ones, and
+        these grids have none."""
         out = tmp_path / "grid.csv"
         rc = cli.main(["sweep", "--quantity", quantity, "--activation", kind,
                        "--sparsity", "0.6,0.8", "--qstar-range", q_range,
@@ -211,7 +213,7 @@ class TestSweep:
                 nan_cells += 1
             else:
                 assert value == pytest.approx(expected, rel=1e-12, abs=0.0), row
-        assert (nan_cells > 0) == (quantity == "nlo_bound")
+        assert nan_cells == 0
 
     def test_usage_error_on_missing_range(self):
         proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
@@ -331,6 +333,21 @@ class TestSimulateAndCorrelate:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["config"]["seed"] == 2 ** 64 - 1
 
+    def test_backward_reported_at_top_level(self, tmp_path):
+        """Whether the run pulled an error down is the command's choice, not
+        a field of the simulation config: the document carries it next to
+        ``config``."""
+        for extra in ([], ["--backward"]):
+            proc = run_cli(["simulate", "--activation", "crelu", "-s", "0.85",
+                            "--qstar", "1", "--vprime", "0.7", "--depth", "3",
+                            "--width", "16", "--batch", "4", "--seed", "7",
+                            "--out", str(tmp_path / "sim.csv")] + extra)
+            assert proc.returncode == 0
+            doc = json.loads(proc.stdout)
+            assert list(doc) == ["schema_version", "command", "config", "backward", "out"]
+            assert doc["backward"] is bool(extra)
+            assert "measure_backward" not in doc["config"]
+
     def test_correlate_populates_rho(self, tmp_path):
         out = tmp_path / "cor.csv"
         proc = run_cli(["correlate", "--activation", "crelu", "-s", "0.85",
@@ -409,6 +426,45 @@ class TestTrainCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {field} must")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case, cause", [
+        ("three_rows", "digit CSV data rows must be at least 7 so that the train,"
+                       " validation and test splits are nonempty, got 3"),
+        ("header_only", "digit CSV data rows must be at least 7 so that the train,"
+                        " validation and test splits are nonempty, got 0"),
+        ("blank_row", "digit CSV line 5 is blank"),
+        ("empty_file", "digit CSV header does not match label,pixel_0..pixel_63"),
+        ("label_past_n_classes", "digit label 9 needs n_classes of at least 10,"
+                                 " config says 3"),
+    ])
+    def test_malformed_digit_csv_is_usage_error(self, tmp_path, case, cause):
+        """The digit file gets the checks the synthetic data gets from its
+        flags: enough samples for three nonempty splits, labels below
+        --n-classes, and no row the parser cannot read."""
+        header = "label," + ",".join(f"pixel_{i}" for i in range(64)) + "\n"
+
+        def rows(count, classes=3):
+            return "".join(f"{i % classes}," + ",".join(["3"] * 64) + "\n"
+                           for i in range(count))
+
+        text = {
+            "three_rows": header + rows(3),
+            "header_only": header,
+            "blank_row": header + rows(3) + "\n" + rows(9),
+            "empty_file": "",
+            "label_past_n_classes": header + rows(20, classes=10),
+        }[case]
+        path = tmp_path / "digits.csv"
+        path.write_text(text)
+        out = tmp_path / "report.json"
+        proc = run_cli(["train", "--activation", "crelu", "-s", "0.85", "--qstar", "1",
+                        "--vprime", "0.7", "--dataset", "small-digits",
+                        "--data-csv", str(path), "--depth", "3", "--width", "8",
+                        "--epochs", "1", "--lr", "0.1", "--batch", "8", "--n-classes", "3",
+                        "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {cause}\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -3,18 +3,19 @@ depth-independent envelope."""
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+from eoc_lab._moments import _Kernel
 from eoc_lab.finite_width import (
-    DegenerateSlopeError,
     fourth_moment_innovation,
-    lemma_q1_closed_form,
-    lemma_r_closed_form,
     log_theorem1_bound,
     nlo_trajectory,
     theorem1_bound,
 )
 from eoc_lab.maps import v_prime2
 from eoc_lab.solver import init_from_m, relu_init, solve_init
+
+from oracles import lemma_q1_closed_form, lemma_r_closed_form
 
 
 def random_valid_inits(n, seed):
@@ -98,17 +99,6 @@ class TestClosedForms:
                         states[layer - 1].q1, rel=1e-9, abs=1e-12
                     )
 
-    def test_layer_range_validation(self):
-        init = solve_init("crelu", 0.85, 1.0, 0.7)
-        with pytest.raises(ValueError):
-            lemma_r_closed_form(init, 1)
-        with pytest.raises(ValueError):
-            lemma_q1_closed_form(init, 2)
-
-    def test_degenerate_slope_error(self):
-        with pytest.raises(DegenerateSlopeError):
-            lemma_r_closed_form(relu_init(1.0), 5)
-
 
 class TestEnvelope:
     def test_trajectory_never_exceeds_bound(self):
@@ -144,3 +134,40 @@ class TestEnvelope:
     def test_precondition(self):
         with pytest.raises(ValueError):
             theorem1_bound(relu_init(1.0))
+
+
+def _mp_cst_moment(tau, m, q, k):
+    """E[cst(z)^k] for z ~ N(0, q) and even k, by quadrature of the
+    definition: twice the integral over the positive half-line."""
+    s = mp.sqrt(q)
+    body = mp.quad(lambda u: (u - tau) ** k * mp.npdf(u, 0, s), [tau, tau + m])
+    return 2 * (body + m ** k * mp.ncdf(-(tau + m) / s))
+
+
+class TestSlopeGapPrecision:
+    """Near the saturated corner of the cst plane 1 - V'(q*) falls below
+    the ulp of 1: V' reads exactly 1.0 at m = 2.5 and 3.0, and 1 - V'
+    keeps only three digits at m = 2.  The kernel's x g(b) / i0 keeps them
+    all; the oracle differentiates the quadrature of the defining integral
+    at 50 digits, at the exact critical gain for the same (tau, m, q*)."""
+
+    @pytest.mark.parametrize("m", [2.0, 2.5, 3.0])
+    def test_gap_and_bound_match_50_digit_oracle(self, m):
+        init = init_from_m("cst", 0.8, 0.09, m)
+        with mp.workdps(50):
+            tau, clip, q = mp.mpf(init.spec.tau), mp.mpf(init.spec.m), mp.mpf(init.q_star)
+            s = mp.sqrt(q)
+            sw2 = 1 / (2 * (mp.ncdf(-tau / s) - mp.ncdf(-(tau + clip) / s)))
+
+            def second(t):
+                return _mp_cst_moment(tau, clip, t, 2)
+
+            vp = sw2 * mp.diff(second, q)
+            vpp = sw2 * mp.diff(second, q, 2)
+            gap = 1 - vp
+            inject = sw2 ** 2 * (_mp_cst_moment(tau, clip, q, 4) - second(q) ** 2)
+            bound = abs(vpp) * abs(inject) / (2 * gap ** 2 * (1 + vp))
+        assert 0.0 < gap < 1e-12
+        kernel_gap = _Kernel.at(init.spec, init.q_star).slope_gap
+        assert abs(kernel_gap / gap - 1) <= 1e-12
+        assert abs(theorem1_bound(init) / bound - 1) <= 1e-10

@@ -58,7 +58,7 @@ class TestGaussExpect:
             lambda z: z,
             lambda z: z ** 3,
             lambda z: np.sin(z),
-            ActivationSpec.cst(0.5, 1.0).evaluate,
+            ActivationSpec("cst", 0.5, 1.0).evaluate,
         ]
         for q in (0.2, 1.0, 4.0):
             for f in odd_fns:
@@ -78,11 +78,11 @@ class TestGaussExpect:
         """The kernel's E[phi^2], E[phi^4] and P(phi' = 1) agree with
         kink-split panel quadrature of their defining integrals to 1e-12."""
         specs = [
-            ActivationSpec.relu(),
-            ActivationSpec.crelu(0.25, 1.22),
-            ActivationSpec.crelu(1.04, 2.0),
-            ActivationSpec.cst(0.84, 1.2),
-            ActivationSpec.cst(1.44, 2.0),
+            ActivationSpec("relu"),
+            ActivationSpec("crelu", 0.25, 1.22),
+            ActivationSpec("crelu", 1.04, 2.0),
+            ActivationSpec("cst", 0.84, 1.2),
+            ActivationSpec("cst", 1.44, 2.0),
         ]
         for spec in specs:
             for q in (0.5, 1.0, 3.0):
@@ -110,7 +110,7 @@ class TestGaussExpect:
             assert abs(exact - est) <= 3.0 * se
 
     def test_clipped_square_matches_large_monte_carlo(self):
-        spec = ActivationSpec.crelu(0.25, 1.22)
+        spec = ActivationSpec("crelu", 0.25, 1.22)
         exact = gauss_expect(lambda z: spec.evaluate(z) ** 2, 1.0, kinks=spec.kinks())
         est, se = gaussian_mc(lambda z: spec.evaluate(z) ** 2, 1.0, 10_000_000, seed=3)
         assert abs(exact - est) <= 3.0 * se

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eoc_lab.activations import ActivationSpec
 from eoc_lab.gaussian import gauss_expect
 from eoc_lab.jacobian import S1_GAUSSIAN_WEIGHTS, jacobian_moments
 from eoc_lab.simulator import SimConfig, run_forward
@@ -56,6 +57,16 @@ class TestSpectralMoments:
         )
         with pytest.raises(ValueError):
             jacobian_moments(detuned, depth=5)
+
+    def test_saturated_infinite_gain_is_not_critical(self):
+        """A threshold no input reaches with an infinite gain makes chi1 =
+        inf * 0 = nan, which is not 1, so the criticality check rejects it
+        rather than letting the nan through."""
+        dead = EocInit(ActivationSpec("crelu", 40.0, 1.0), 1.0, math.inf, 0.0, 0.99, 0.5)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"only at criticality; chi1\(q\*\) = nan"
+        ):
+            jacobian_moments(dead, depth=5)
 
     def test_relu_moments_against_monte_carlo(self):
         """Trace moments of J J^T from explicit random networks, width 500

@@ -40,7 +40,7 @@ def random_cases(n, seed, kinds=("crelu", "cst")):
 
 class TestVarianceMap:
     def test_relu_critical_point_is_linear(self):
-        spec = ActivationSpec.relu()
+        spec = ActivationSpec("relu")
         for q in (0.5, 1.0, 2.0, 7.3):
             assert v_map(spec, 2.0, 0.0, q) == pytest.approx(q, rel=1e-14)
 
@@ -52,7 +52,7 @@ class TestVarianceMap:
             assert closed == pytest.approx(quad, abs=1e-11, rel=1e-11)
 
     def test_matches_monte_carlo(self):
-        spec = ActivationSpec.crelu(0.6, 1.3)
+        spec = ActivationSpec("crelu", 0.6, 1.3)
         sw2, sb2, q = 1.7, 0.2, 2.0
         closed = v_map(spec, sw2, sb2, q)
         est, se = gaussian_mc(lambda z: spec.evaluate(z) ** 2, q, 10_000_000, seed=21)
@@ -60,7 +60,7 @@ class TestVarianceMap:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            v_map(ActivationSpec.relu(), 2.0, 0.0, -1.0)
+            v_map(ActivationSpec("relu"), 2.0, 0.0, -1.0)
 
 
 class TestArrayInput:
@@ -68,7 +68,8 @@ class TestArrayInput:
         """An ndarray of q gives the array of the scalar results, exactly;
         a scalar q gives a Python float."""
         qs = np.array([0.05, 0.3, 1.0, 2.7, 40.0])
-        specs = [ActivationSpec.relu(), ActivationSpec.crelu(0.4, 1.3), ActivationSpec.cst(0.7, 0.9)]
+        specs = [ActivationSpec("relu"), ActivationSpec("crelu", 0.4, 1.3),
+                 ActivationSpec("cst", 0.7, 0.9)]
         for spec in specs:
             for fn, args in ((v_map, (1.7, 0.2)), (chi1, (1.7,)), (v_prime, (1.7,)),
                              (chi1_prime, (1.7,)), (v_prime2, (1.7,))):
@@ -80,7 +81,7 @@ class TestArrayInput:
 
     def test_invalid_entry_rejected(self):
         with pytest.raises(ValueError, match="got -1.0"):
-            v_map(ActivationSpec.crelu(0.4, 1.3), 1.7, 0.2, np.array([1.0, -1.0]))
+            v_map(ActivationSpec("crelu", 0.4, 1.3), 1.7, 0.2, np.array([1.0, -1.0]))
 
 
 class TestDerivativeClosedForms:
@@ -101,7 +102,7 @@ class TestDerivativeClosedForms:
             assert v_prime2(spec, sw2, q) == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
     def test_chi1_prime_matches_central_difference(self):
-        spec = ActivationSpec.crelu(0.5, 1.0)
+        spec = ActivationSpec("crelu", 0.5, 1.0)
         sw2, q = 1.9, 1.7
         h = 1e-5 * q
         fd = (chi1(spec, sw2, q + h) - chi1(spec, sw2, q - h)) / (2 * h)
@@ -122,7 +123,7 @@ class TestGrowthFactor:
                 assert abs(chi1(init.spec, init.sw2, q) - 1.0) <= 1e-9
 
     def test_relu_chi1_flat_in_q(self):
-        spec = ActivationSpec.relu()
+        spec = ActivationSpec("relu")
         for q in (0.1, 1.0, 5.0, 40.0):
             assert chi1(spec, 2.0, q) == pytest.approx(1.0, rel=1e-14)
             assert chi1_prime(spec, 2.0, q) == 0.0
@@ -165,8 +166,8 @@ class TestSlopeIdentities:
             m = float(rng.uniform(0.2, 2.5))
             sw2 = float(rng.uniform(0.5, 6.0))
             q = float(rng.uniform(0.3, 3.0))
-            one = ActivationSpec.crelu(tau, m)
-            two = ActivationSpec.cst(tau, m)
+            one = ActivationSpec("crelu", tau, m)
+            two = ActivationSpec("cst", tau, m)
             assert v_prime(two, sw2, q) == 2.0 * v_prime(one, sw2, q)
             assert v_prime2(two, sw2, q) == 2.0 * v_prime2(one, sw2, q)
             assert chi1_prime(two, sw2, q) == 2.0 * chi1_prime(one, sw2, q)
@@ -190,7 +191,7 @@ class TestCorrelationMap:
             assert abs(r1 - 1.0) <= 1e-8
 
     def test_odd_activation_decouples_at_zero(self):
-        spec = ActivationSpec.cst(0.9, 1.2)
+        spec = ActivationSpec("cst", 0.9, 1.2)
         value = correlation_map(spec, 1.8, 0.0, 1.5, 0.0)
         assert abs(value) <= 1e-12
         value = correlation_map_precise(spec, 1.8, 0.0, 1.5, 0.0)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from eoc_lab.finite_width import lemma_q1_closed_form
 from eoc_lab.maps import chi1
 from eoc_lab.simulator import (
     SimConfig,
@@ -14,14 +13,13 @@ from eoc_lab.simulator import (
     _design,
     _draw_inputs,
     _pull_down,
-    iterated_correlation,
     run_backward,
     run_correlation,
     run_forward,
 )
 from eoc_lab.solver import EocInit, find_fixed_points, init_from_m, relu_init, solve_init
 
-from oracles import dense_backward, dense_forward
+from oracles import dense_backward, dense_forward, iterated_correlation, lemma_q1_closed_form
 
 
 def scaled_gain(init, factor):
@@ -130,8 +128,7 @@ class TestConditionalLaw:
         init = solve_init("crelu", 0.85, 1.0, 0.7)
         conditional, dense = [], []
         for seed in range(self.SEEDS):
-            config = SimConfig(init=init, depth=self.DEPTH, width=64, batch=4, seed=seed,
-                               measure_backward=True)
+            config = SimConfig(init=init, depth=self.DEPTH, width=64, batch=4, seed=seed)
             conditional.append([[st.v_hat] for st in run_backward(config)])
             rng = np.random.default_rng([seed, 3])
             states = dense_forward(init, _draw_inputs(config), self.DEPTH, rng)
@@ -271,9 +268,7 @@ class TestBackward:
         """Layer-to-layer ratios of the error moment match the growth
         factor at that layer's empirical variance, within 10 percent."""
         init = solve_init("crelu", 0.85, 1.0, 0.7)
-        config = SimConfig(
-            init=init, depth=12, width=2000, batch=32, seed=19, measure_backward=True
-        )
+        config = SimConfig(init=init, depth=12, width=2000, batch=32, seed=19)
         stats = run_backward(config)
         for i in range(1, 10):
             ratio = stats[i].v_hat / stats[i + 1].v_hat
@@ -286,8 +281,7 @@ class TestBackward:
         realised variance trajectory."""
         init = solve_init("crelu", 0.85, 1.0, 0.7)
         config = SimConfig(
-            init=scaled_gain(init, 0.8), depth=8, width=2000, batch=64, seed=23,
-            measure_backward=True,
+            init=scaled_gain(init, 0.8), depth=8, width=2000, batch=64, seed=23
         )
         stats = run_backward(config)
         rate = (stats[1].v_hat / stats[5].v_hat) ** 0.25
@@ -297,17 +291,10 @@ class TestBackward:
 
     def test_single_step_ratio_equals_empirical_growth_factor(self):
         init = solve_init("crelu", 0.85, 1.0, 0.7)
-        config = SimConfig(
-            init=init, depth=2, width=2000, batch=64, seed=29, measure_backward=True
-        )
+        config = SimConfig(init=init, depth=2, width=2000, batch=64, seed=29)
         stats = run_backward(config)
         ratio = stats[0].v_hat / stats[1].v_hat
         assert ratio == pytest.approx(stats[0].chi1_hat, rel=0.05)
-
-    def test_requires_flag(self):
-        init = relu_init(1.0)
-        with pytest.raises(ValueError):
-            run_backward(SimConfig(init=init, depth=4, width=32))
 
 
 class TestCorrelation:
@@ -347,9 +334,10 @@ class TestCorrelation:
         assert math.isnan(stats[-1].rho_hat)
 
     def test_domain(self):
-        init = relu_init(1.0)
-        with pytest.raises(ValueError):
-            run_correlation(SimConfig(init=init, depth=4, width=32), 1.5)
+        config = SimConfig(init=relu_init(1.0), depth=4, width=32)
+        for rho0 in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+                run_correlation(config, rho0)
 
 
 class TestWidthScaling:

@@ -208,15 +208,6 @@ class TestTraining:
         assert a.val_accuracies == b.val_accuracies
         assert a.test_accuracy == b.test_accuracy
 
-    def test_steps_to_loss(self):
-        config = small_config(depth=2, width=8, epochs=30, lr=0.1, batch=16,
-                              n_samples=200, input_dim=8, n_classes=2, seed=1)
-        report = train(config)
-        steps = report.steps_to_loss(1.0)
-        assert steps is not None
-        assert steps % report.steps_per_epoch == 0
-        assert report.steps_to_loss(-1.0) is None
-
     def test_training_log_schema(self, tmp_path):
         config = small_config(epochs=2)
         report = train(config)
