@@ -64,12 +64,20 @@ class ActivationSpec:
     def evaluate(self, x):
         """Pointwise activation value; accepts scalars or arrays."""
         x = np.asarray(x, dtype=float)
+        # one buffer, filled in place: on a batch x width array the
+        # temporaries of the plain expressions cost more than the
+        # arithmetic, and the operations and their order are unchanged
+        out = np.empty_like(x)
         if self.kind == RELU:
-            out = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=out)
         elif self.kind == CRELU:
-            out = np.clip(x - self.tau, 0.0, self.m)
+            np.subtract(x, self.tau, out=out)
+            np.clip(out, 0.0, self.m, out=out)
         else:
-            out = np.sign(x) * np.clip(np.abs(x) - self.tau, 0.0, self.m)
+            np.abs(x, out=out)
+            out -= self.tau
+            np.clip(out, 0.0, self.m, out=out)
+            np.multiply(np.sign(x), out, out=out)
         return out if out.ndim else float(out)
 
     def derivative(self, x):

@@ -17,8 +17,9 @@ Gaussianity), so each layer factors the rows x rows matrix C with one
 symmetric eigendecomposition and draws the columns from it: rows x N
 normals instead of N x N, exact in law.  ``run_backward`` pulls an error
 down through the same layers by drawing the weights' product with the
-error from their law given the forward draw (Gaussian conditioning), from
-the same factor and again without the N x N matrix.
+error from their law given the forward draw h (Gaussian conditioning),
+from the same factor and again without the N x N matrix; it keeps one
+rows x N array per layer, h, and rebuilds the activations from it.
 
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
@@ -134,25 +135,26 @@ def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conditional_pass(config: SimConfig, x0: np.ndarray):
-    """Propagate a (rows, width) input; yields (layer, h, x, w, z).
+    """Propagate a (rows, width) input; yields (layer, h, x, w).
 
     Each layer's pre-activations are drawn from their law given the
     activations below: with A = ``_design(...)`` and A A^T = U diag(lam)
     U^T, the columns of h = U sqrt(lam keep) Z for standard normal
     (rows, N) Z have covariance A A^T up to the round-off directions the
     rank rule drops.  w = U keep / sqrt(lam), a rows x rows matrix, is
-    what ``run_backward`` needs of the factor besides Z: A^T w spans the
-    parameter directions the draw fixed.
+    what ``run_backward`` needs of the factor besides h: A^T w spans the
+    parameter directions the draw fixed, and w^T h recovers Z on them, so
+    Z itself is not kept past its layer.
     """
     n = config.width
     init = config.init
     x = x0
     for layer in range(1, config.depth + 1):
         root, w = _gram_factor(_design(init, layer, x))
-        z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((x.shape[0], n))
-        h = root @ z
+        h = root @ _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal(
+            (x.shape[0], n))
         x = init.spec.evaluate(h)
-        yield layer, h, x, w, z
+        yield layer, h, x, w
 
 
 def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> LayerStats:
@@ -180,24 +182,24 @@ def run_forward(config: SimConfig) -> list[LayerStats]:
             for layer, h, x, *_ in _conditional_pass(config, x0)]
 
 
-def _pull_down(a: np.ndarray, w: np.ndarray, z: np.ndarray, delta: np.ndarray,
+def _pull_down(a: np.ndarray, w: np.ndarray, h: np.ndarray, delta: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
     """theta delta^T for one layer, drawn from its law given the layer's
-    forward draw h = A theta (A, w and z as ``_conditional_pass`` used
-    them).
+    forward draw h = A theta (A, w and h as ``_conditional_pass`` used and
+    yielded them).
 
-    The draw fixed theta along V = A^T w, as V^T theta = Z on the kept
-    directions, so theta = V Z + (I - V V^T) theta' with theta' fresh; and
-    theta' delta^T has the law of F = Y L^T for a standard normal Y and
+    The draw fixed theta along V = A^T w, as V^T theta = w^T h on the kept
+    directions, so theta = V w^T h + (I - V V^T) theta' with theta' fresh;
+    and theta' delta^T has the law of F = Y L^T for a standard normal Y and
     L L^T = delta delta^T from ``_gram_factor(delta)``.  Hence
-    theta delta^T = A^T [w (Z delta^T) - w w^T (A F)] + F, with one fresh
-    normal per parameter row and error row and no solve; A (theta delta^T)
-    = h delta^T holds to round-off because the forward draw and this step
-    share one ``keep`` mask through w.
+    theta delta^T = A^T w (w^T (h delta^T - A F)) + F, with one fresh
+    normal per parameter row and error row, no solve and no w w^T formed;
+    A (theta delta^T) = h delta^T holds to round-off because the forward
+    draw and this step share one ``keep`` mask through w.
     """
     root_delta, _ = _gram_factor(delta)
     fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ root_delta.T
-    return a.T @ (w @ (z @ delta.T) - w @ (w.T @ (a @ fresh))) + fresh
+    return a.T @ (w @ (w.T @ (h @ delta.T - a @ fresh))) + fresh
 
 
 def run_backward(config: SimConfig) -> list[LayerStats]:
@@ -206,24 +208,27 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     A synthetic unit-variance error vector is injected at the top layer and
     pulled down through transposed weights and the activation-derivative
     diagonal; no loss function is involved.  Each layer's weights times the
-    error come from ``_pull_down``, given the forward draw, with A rebuilt
-    from the stored activations below so per-layer state stays (h, x, w, z).
+    error come from ``_pull_down``, given the forward draw.  Per-layer state
+    is (h, w), popped top-down; the activations below, which A is built
+    from, are recomputed from h exactly as the forward pass made them.
     """
     n = config.width
     init = config.init
     x0 = _draw_inputs(config)
-    states = list(_conditional_pass(config, x0))
-    stats = [_layer_stats(init, layer, h, x) for layer, h, x, *_ in states]
+    stats, states = [], []
+    for layer, h, x, w in _conditional_pass(config, x0):
+        stats.append(_layer_stats(init, layer, h, x))
+        states.append((h, w))
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
     v_hat = [float(np.mean(delta * delta))]
     scale = math.sqrt(init.sw2 / n)
     for layer in range(config.depth, 1, -1):
-        _, h_below, x_below, _, _ = states[layer - 2]
-        _, _, _, w, z = states[layer - 1]
+        h, w = states.pop()
+        h_below = states[-1][0]
         theta_delta = _pull_down(
-            _design(init, layer, x_below), w, z, delta,
+            _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
             _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
         )
         delta = scale * theta_delta[:n].T * init.spec.derivative(h_below)

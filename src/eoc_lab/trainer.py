@@ -336,10 +336,13 @@ def train(config: TrainConfig) -> TrainReport:
                 report.sparsity_final = observed_sparsity(params, spec, x_tr)
                 return report
             epoch_losses.append(loss)
-            params = [
-                (w - config.lr * gw, b - config.lr * gb)
-                for (w, b), (gw, gb) in zip(params, grads)
-            ]
+            # in place: the gradients are fresh arrays, and the products
+            # and differences are those of w - lr * gw, bit for bit
+            for (w, b), (gw, gb) in zip(params, grads):
+                gw *= config.lr
+                w -= gw
+                gb *= config.lr
+                b -= gb
         report.train_losses.append(float(np.mean(epoch_losses)))
         report.val_accuracies.append(_accuracy(params, spec, x_val, y_val))
         report.epochs_run = epoch

@@ -27,6 +27,30 @@ class TestPiecewiseValues:
         x = rng.normal(size=1000)
         assert_allclose(ActivationSpec("relu").evaluate(x), np.maximum(x, 0.0))
 
+    @pytest.mark.parametrize("spec", [ActivationSpec("relu"), ActivationSpec("crelu", 0.8, 1.4),
+                                      ActivationSpec("crelu", 0.0, 2.0),
+                                      ActivationSpec("cst", 0.6, 0.9),
+                                      ActivationSpec("cst", 0.0, 1.5)],
+                             ids=lambda spec: f"{spec.kind}-{spec.tau}")
+    def test_in_place_form_is_bitwise_the_plain_expression(self, spec, rng):
+        """``evaluate`` fills one buffer in place; its bits must be those of
+        the plain expression, on the kinks, signed zeros, infinities and
+        nan included, and its input must be left as it was."""
+        special = [*spec.kinks(), *(-k for k in spec.kinks()), 0.0, -0.0,
+                   np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([rng.normal(0.0, 2.0, size=4000), special])
+        rng.shuffle(x)
+        before = x.copy()
+        if spec.kind == "relu":
+            plain = np.maximum(x, 0.0)
+        elif spec.kind == "crelu":
+            plain = np.clip(x - spec.tau, 0.0, spec.m)
+        else:
+            plain = np.sign(x) * np.clip(np.abs(x) - spec.tau, 0.0, spec.m)
+        out = spec.evaluate(x)
+        assert np.array_equal(out.view(np.uint64), plain.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
 
 class TestDerivative:
     def test_linear_segment(self):

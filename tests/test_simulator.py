@@ -1,10 +1,12 @@
 """Tests of the finite-width Monte Carlo simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eoc_lab.activations import ActivationSpec
 from eoc_lab.maps import chi1
 from eoc_lab.simulator import (
     SimConfig,
@@ -171,9 +173,9 @@ class TestConditioning:
     def assert_conditioned(config, x0):
         states = list(_conditional_pass(config, x0))
         delta = np.random.default_rng(config.seed).standard_normal(x0.shape)
-        for (_, _, x_below, _, _), (layer, h, _, w, z) in zip(states, states[1:]):
+        for (_, _, x_below, _), (layer, h, _, w) in zip(states, states[1:]):
             a = _design(config.init, layer, x_below)
-            theta_delta = _pull_down(a, w, z, delta, np.random.default_rng([config.seed, layer]))
+            theta_delta = _pull_down(a, w, h, delta, np.random.default_rng([config.seed, layer]))
             gap = np.linalg.norm(a @ theta_delta - h @ delta.T)
             assert gap <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(theta_delta), layer
         return states
@@ -295,6 +297,67 @@ class TestBackward:
         stats = run_backward(config)
         ratio = stats[0].v_hat / stats[1].v_hat
         assert ratio == pytest.approx(stats[0].chi1_hat, rel=0.05)
+
+
+def scaled_lengths(init, c):
+    """The same network with every length multiplied by c: pre-activations
+    scale by c, q* and sb2 by c^2, and the gain is unchanged."""
+    spec = ActivationSpec(init.spec.kind, init.spec.tau * c, init.spec.m * c)
+    return EocInit(spec=spec, q_star=init.q_star * c * c, sw2=init.sw2,
+                   sb2=init.sb2 * c * c, s=init.s, v_prime_at_fp=init.v_prime_at_fp)
+
+
+class TestBackwardState:
+    def test_peak_memory_is_one_array_per_layer(self):
+        """The backward pass keeps h and the small factor w per layer:
+        peak traced bytes stay within twice one batch x width array per
+        layer (about 1.5x here; keeping the activations and the forward
+        noise as well takes 3.4x)."""
+        depth, width, batch = 20, 256, 16
+        config = SimConfig(init=solve_init("crelu", 0.85, 1.0, 0.7), depth=depth,
+                           width=width, batch=batch, seed=3)
+        run_backward(config)  # untraced: the modules a first run imports are not state
+        tracemalloc.start()
+        try:
+            run_backward(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * depth * batch * width * 8
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_runs_are_scale_invariant(self, kind):
+        """A run at q* = 2^-400 or 2^400 is the run at q* = 1 with lengths
+        scaled by a power of two, so q_hat / q*, sparsity and v_hat agree.
+        Further out LAPACK's eigh rescales the Gram matrix by a factor that
+        is not a power of two, and its eigenvector signs may then flip: a
+        different draw of the same law, not a scaled one."""
+        base = solve_init(kind, 0.85, 1.0, 0.7)
+        ref = run_backward(SimConfig(init=base, depth=8, width=64, batch=8, seed=11))
+        for c in (2.0 ** -200, 2.0 ** 200):
+            init = scaled_lengths(base, c)
+            run = run_backward(SimConfig(init=init, depth=8, width=64, batch=8, seed=11))
+            for st, st_ref in zip(run, ref):
+                assert st.q_hat / init.q_star == pytest.approx(st_ref.q_hat, rel=1e-12)
+                assert st.sparsity_hat == st_ref.sparsity_hat
+                assert st.v_hat == pytest.approx(st_ref.v_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("q_scale", [1e-150, 1e150])
+    def test_pull_down_does_not_overflow(self, q_scale):
+        """``_pull_down`` is homogeneous of degree 0 in the layer's scale:
+        A and h scaled by c and w by 1/c give the same theta delta^T, down
+        to q* = 1e-150 and up to 1e150."""
+        config = SimConfig(init=solve_init("cst", 0.85, 1.0, 0.7), depth=6, width=64,
+                           batch=8, seed=13)
+        c = math.sqrt(q_scale)
+        states = list(_conditional_pass(config, _draw_inputs(config)))
+        delta = np.random.default_rng(13).standard_normal((config.batch, config.width))
+        for (_, _, x_below, _), (layer, h, _, w) in zip(states, states[1:]):
+            a = _design(config.init, layer, x_below)
+            ref = _pull_down(a, w, h, delta, np.random.default_rng(layer))
+            out = _pull_down(a * c, w / c, h * c, delta, np.random.default_rng(layer))
+            assert np.all(np.isfinite(out))
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), layer
 
 
 class TestCorrelation:
