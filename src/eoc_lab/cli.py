@@ -63,16 +63,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    # exact types first: a sweep formats one Python float per cell
-    if type(value) is float:
-        return repr(value)
-    if type(value) is str:
-        return value
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "nan" if math.isnan(value) else repr(value)
+        return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return repr(int(value))
     return str(value)
@@ -87,11 +83,21 @@ def _emit_json(doc: dict, path: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+_CSV_CHUNK = 4096  # lines joined per write
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """Write ``rows``, each a tuple of formatted text, under ``header``.
+
+    Lines are joined and written ``_CSV_CHUNK`` at a time, so neither a list
+    of every line nor the whole file's text is ever held.
+    """
+    lines = map(",".join, rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while chunk := list(itertools.islice(lines, _CSV_CHUNK)):
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +143,8 @@ def _range_triple(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("ranges are lo:hi:steps")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"lo, hi and hi - lo must be finite, got {text}")
     if not (lo < hi) or steps < 2:
         raise argparse.ArgumentTypeError("need lo < hi and steps >= 2")
     return lo, hi, steps
@@ -199,7 +207,27 @@ def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor):
         else:
             values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
             infeasible = failure >= 0
-        return np.where(infeasible, np.nan, values).ravel().tolist()
+        return np.where(infeasible, np.nan, values).ravel()
+
+
+class _GridRows:
+    """The rows of a sweep CSV as text columns, sized but never built.
+
+    Each axis value is formatted once, as text; a row is its coordinates
+    (the product of the axes, last axis fastest) zipped with the repr of its
+    cell value.
+    """
+
+    def __init__(self, axes, values):
+        self._axes = axes
+        self._values = values
+
+    def __len__(self):
+        return self._values.size
+
+    def __iter__(self):
+        coords = map(",".join, itertools.product(*self._axes))
+        return zip(coords, map(repr, self._values.tolist()))
 
 
 def _cmd_sweep(args) -> int:
@@ -213,22 +241,21 @@ def _cmd_sweep(args) -> int:
     m_grid = np.linspace(m_lo, m_hi, m_steps)
     anchor = args.qstar if args.qstar is not None else 1.0
 
-    values = []
-    for s in args.s_list:
-        values += _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor)
-    # each axis value is formatted once; a row is its joined coordinates
-    # followed by the cell's value
-    s_txt = [_fmt(s) for s in args.s_list]
-    q_txt = [_fmt(q) for q in q_grid.tolist()]
-    m_txt = [_fmt(m) for m in m_grid.tolist()]
+    # every block is computed before the output file is opened, so a bad
+    # sparsity late in the list leaves no partial file behind
+    values = np.concatenate([
+        _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor) for s in args.s_list
+    ])
+    s_txt = [repr(s) for s in args.s_list]
+    q_txt = [repr(q) for q in q_grid.tolist()]
+    m_txt = [repr(m) for m in m_grid.tolist()]
     if args.quantity == "vmap_curve":
         header = ("activation", "s", "anchor_q_star", "m", "q", "value")
-        cells = itertools.product([kind], s_txt, [_fmt(anchor)], m_txt, q_txt)
+        axes = ([kind], s_txt, [repr(anchor)], m_txt, q_txt)
     else:
         header = ("activation", "s", "q_star", "m", "value")
-        cells = itertools.product([kind], s_txt, q_txt, m_txt)
-    rows = [(",".join(cell), v) for cell, v in zip(cells, values)]
-    _write_csv(args.out, header, rows)
+        axes = ([kind], s_txt, q_txt, m_txt)
+    _write_csv(args.out, header, _GridRows(axes, values))
 
     _emit_json(
         {
@@ -264,7 +291,7 @@ def _cmd_nlo(args) -> int:
     init = _build_init(args)
     states = finite_width.nlo_trajectory(init, args.depth)
     bound = finite_width.theorem1_bound(init)
-    rows = [(st.layer, st.q, st.r, st.q1, bound) for st in states]
+    rows = [tuple(map(_fmt, (st.layer, st.q, st.r, st.q1, bound))) for st in states]
     _write_csv(args.out, ("layer", "q", "r", "q1", "bound"), rows)
     _emit_json(
         {
@@ -296,7 +323,8 @@ def _cmd_simulate(args) -> int:
         input_variance=args.input_variance,
     )
     stats = simulator.run_backward(config) if args.backward else simulator.run_forward(config)
-    _write_csv(args.out, simulator.CSV_COLUMNS, [st.to_row() for st in stats])
+    rows = [tuple(map(_fmt, st.to_row())) for st in stats]
+    _write_csv(args.out, simulator.CSV_COLUMNS, rows)
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -316,7 +344,8 @@ def _cmd_correlate(args) -> int:
         init=init, depth=args.depth, width=args.width, batch=args.batch, seed=args.seed
     )
     stats = simulator.run_correlation(config, args.rho0)
-    _write_csv(args.out, simulator.CSV_COLUMNS, [st.to_row() for st in stats])
+    rows = [tuple(map(_fmt, st.to_row())) for st in stats]
+    _write_csv(args.out, simulator.CSV_COLUMNS, rows)
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,

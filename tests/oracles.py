@@ -6,6 +6,8 @@ independently of the kernel in ``eoc_lab._moments``, and are slower and
 samplers draw explicit weight matrices.  The lemma closed forms sum the
 finite-width recursions geometrically, and ``iterated_correlation`` is the
 infinite-width correlation trajectory the simulator is checked against.
+``write_csv_rowwise`` is the row-at-a-time CSV writer the CLI's streamed
+one is held to, byte for byte.
 """
 
 import functools
@@ -134,3 +136,25 @@ def lemma_q1_closed_form(init, layer):
     n = layer - 2
     geometric = (1.0 - vp ** n) * (1.0 - vp ** (n + 1)) / ((1.0 - vp) * (1.0 - vp * vp))
     return 0.5 * vpp * fourth_moment_innovation(init) * geometric
+
+
+def _format_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return "nan" if math.isnan(value) else repr(value)
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    return str(value)
+
+
+def write_csv_rowwise(path, header, rows):
+    """A CSV of raw values, one formatting call per cell and one write per
+    row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")

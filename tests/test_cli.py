@@ -2,19 +2,24 @@
 exit codes and determinism."""
 
 import csv
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from oracles import write_csv_rowwise
 
-from eoc_lab import cli, finite_width, maps
+from eoc_lab import cli, finite_width, maps, simulator
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.solver import (
     InfeasibleTargetError,
     critical_gain,
     init_from_m,
+    solve_init,
     sparsity_threshold,
 )
 
@@ -229,6 +234,85 @@ class TestSweep:
         assert "--sparsity: need at least one value" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--qstar-range", "--m-range"])
+    @pytest.mark.parametrize("bounds", ["0.5:inf:3", "nan:3:3", "-1e308:1e308:3"])
+    def test_non_finite_range_is_named_usage_error(self, tmp_path, flag, bounds):
+        """A range whose bounds or width are not finite would fill the grid
+        with nan behind a numpy warning."""
+        out = tmp_path / "grid.csv"
+        ranges = {"--qstar-range": "0.5:3:3", "--m-range": "1:2:2", flag: bounds}
+        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
+                        "--sparsity", "0.85", *(f"{k}={v}" for k, v in ranges.items()),
+                        "--out", str(out)])
+        assert proc.returncode == 1
+        assert f"argument {flag}: lo, hi and hi - lo must be finite, got {bounds}" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
+    def test_bad_late_sparsity_leaves_no_file(self, tmp_path):
+        """Every sparsity's block is computed before the file is opened."""
+        out = tmp_path / "grid.csv"
+        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
+                        "--sparsity", "0.7,0.3", "--qstar-range", "0.5:3:3",
+                        "--m-range", "1:2:2", "--out", str(out)])
+        assert proc.returncode == 1
+        assert "crelu needs sparsity s >= 0.5, got s=0.3" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quantity,kind,sparsity,q_range,m_range,has_nan", [
+        # 2 x 32 x 64 = 4096 rows: exactly one chunk of lines
+        *[(q, "crelu", "0.6,0.8", (0.1, 5.0, 32), (0.5, 3.0, 64), False)
+          for q in cli.SWEEP_QUANTITIES],
+        # 17 x 241 = 4097 rows: one chunk and one line
+        *[(q, "cst", "0.7", (0.1, 5.0, 17), (0.5, 3.0, 241), False)
+          for q in cli.SWEEP_QUANTITIES],
+        # the q* = 0.01 cells read nan
+        ("nlo_bound", "crelu", "0.6,0.85", (0.01, 1.0, 4), (4.0, 8.0, 4), True),
+    ])
+    def test_bytes_match_rowwise_oracle(self, tmp_path, capsys, quantity, kind, sparsity,
+                                        q_range, m_range, has_nan):
+        """The streamed CSV is byte for byte the one a row-at-a-time writer
+        makes from the same cell values."""
+        out, expected = tmp_path / "grid.csv", tmp_path / "expected.csv"
+        rc = cli.main(["sweep", "--quantity", quantity, "--activation", kind,
+                       "--sparsity", sparsity, "--qstar", "1.3",
+                       "--qstar-range", ":".join(map(str, q_range)),
+                       "--m-range", ":".join(map(str, m_range)), "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        s_list = [float(s) for s in sparsity.split(",")]
+        q_grid, m_grid = np.linspace(*q_range), np.linspace(*m_range)
+        values = np.concatenate([cli._sweep_block(quantity, kind, s, q_grid, m_grid, 1.3)
+                                 for s in s_list])
+        if quantity == "vmap_curve":
+            header = ("activation", "s", "anchor_q_star", "m", "q", "value")
+            coords = itertools.product([kind], s_list, [1.3], m_grid, q_grid)
+        else:
+            header = ("activation", "s", "q_star", "m", "value")
+            coords = itertools.product([kind], s_list, q_grid, m_grid)
+        write_csv_rowwise(expected, header, [(*c, v) for c, v in zip(coords, values)])
+        written = out.read_bytes()
+        assert written == expected.read_bytes()
+        assert (b",nan\n" in written) == has_nan
+
+    def test_peak_memory_per_cell(self, tmp_path, capsys):
+        """The CSV is streamed in chunks: a 2 x 300 x 300 sweep peaks at
+        about 65 traced bytes a cell, against 192 when a list of every row
+        was built before writing."""
+        argv = ["sweep", "--quantity", "Vprimeprime", "--activation", "crelu",
+                "--sparsity", "0.65,0.87", "--qstar-range", "0.5:3:300",
+                "--m-range", "0.5:3:300", "--out", str(tmp_path / "grid.csv")]
+        cli.main(argv)  # untraced: the modules a first run imports are not state
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        assert peak <= 120 * 2 * 300 * 300
+
 
 class TestFixedPointsCommand:
     def test_reports_outer_fixed_point(self):
@@ -357,6 +441,33 @@ class TestSimulateAndCorrelate:
         assert proc.returncode == 0
         rows = read_csv(out)
         assert all(r["rho_hat"] != "" for r in rows)
+
+    @pytest.mark.parametrize("command", ["nlo", "simulate", "correlate"])
+    def test_bytes_match_rowwise_oracle(self, tmp_path, capsys, command):
+        """The few rows of these commands, empty v_hat/rho_hat cells
+        included, are written as a row-at-a-time writer writes them."""
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+        flags = ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7"]
+        out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+        if command == "nlo":
+            flags += ["--depth", "12"]
+            bound = finite_width.theorem1_bound(init)
+            header = ("layer", "q", "r", "q1", "bound")
+            rows = [(st.layer, st.q, st.r, st.q1, bound)
+                    for st in finite_width.nlo_trajectory(init, 12)]
+        else:
+            flags += ["--depth", "4", "--width", "32", "--batch", "8", "--seed", "7"]
+            config = simulator.SimConfig(init=init, depth=4, width=32, batch=8, seed=7)
+            if command == "simulate":
+                stats = simulator.run_forward(config)
+            else:
+                flags += ["--rho0", "0.5"]
+                stats = simulator.run_correlation(config, 0.5)
+            header, rows = simulator.CSV_COLUMNS, [st.to_row() for st in stats]
+        assert cli.main([command, *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        write_csv_rowwise(expected, header, rows)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestJacobianCommand:
