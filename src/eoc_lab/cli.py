@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -48,10 +49,6 @@ EXIT_INFEASIBLE = 2
 EXIT_DIVERGED = 3
 
 SWEEP_QUANTITIES = ("Vprime", "Vprimeprime", "chi1prime", "nlo_bound", "vmap_curve")
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +120,7 @@ def _add_config_flag(sub):
 def _require(args, names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise _UsageError("missing required flag(s): " + ", ".join("--" + n for n in missing))
+        raise ValueError("missing required flag(s): " + ", ".join("--" + n for n in missing))
 
 
 def _build_init(args) -> EocInit:
@@ -136,6 +133,14 @@ def _build_init(args) -> EocInit:
         return init_from_m(args.activation, args.sparsity, args.qstar, m)
     _require(args, ["vprime"])
     return solve_init(args.activation, args.sparsity, args.qstar, args.vprime)
+
+
+def _run_config(cls, args):
+    """A run config of class ``cls``: the initialisation the flags give,
+    and every other field from the flag of the same name, where the
+    command has one (the field's default otherwise)."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(init=_build_init(args), **given)
 
 
 def _range_triple(text: str) -> tuple[float, float, int]:
@@ -232,8 +237,6 @@ class _GridRows:
 
 def _cmd_sweep(args) -> int:
     _require(args, ["quantity", "activation", "s_list", "qstar_range", "m_range", "out"])
-    if args.activation == RELU:
-        raise _UsageError("sweeps are defined for the clipped families")
     kind = args.activation
     q_lo, q_hi, q_steps = args.qstar_range
     m_lo, m_hi, m_steps = args.m_range
@@ -291,8 +294,9 @@ def _cmd_nlo(args) -> int:
     init = _build_init(args)
     states = finite_width.nlo_trajectory(init, args.depth)
     bound = finite_width.theorem1_bound(init)
-    rows = [tuple(map(_fmt, (st.layer, st.q, st.r, st.q1, bound))) for st in states]
-    _write_csv(args.out, ("layer", "q", "r", "q1", "bound"), rows)
+    header = (*(f.name for f in fields(finite_width.NloState)), "bound")
+    rows = [tuple(map(_fmt, (*astuple(st), bound))) for st in states]
+    _write_csv(args.out, header, rows)
     _emit_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -313,15 +317,7 @@ def _cmd_nlo(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _require(args, ["depth", "width", "out"])
-    init = _build_init(args)
-    config = simulator.SimConfig(
-        init=init,
-        depth=args.depth,
-        width=args.width,
-        batch=args.batch,
-        seed=args.seed,
-        input_variance=args.input_variance,
-    )
+    config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_backward(config) if args.backward else simulator.run_forward(config)
     rows = [tuple(map(_fmt, st.to_row())) for st in stats]
     _write_csv(args.out, simulator.CSV_COLUMNS, rows)
@@ -339,10 +335,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_correlate(args) -> int:
     _require(args, ["depth", "width", "rho0", "out"])
-    init = _build_init(args)
-    config = simulator.SimConfig(
-        init=init, depth=args.depth, width=args.width, batch=args.batch, seed=args.seed
-    )
+    config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_correlation(config, args.rho0)
     rows = [tuple(map(_fmt, st.to_row())) for st in stats]
     _write_csv(args.out, simulator.CSV_COLUMNS, rows)
@@ -373,21 +366,7 @@ def _cmd_jacobian(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, ["depth", "width", "epochs", "lr", "batch"])
-    init = _build_init(args)
-    config = trainer.TrainConfig(
-        init=init,
-        depth=args.depth,
-        width=args.width,
-        epochs=args.epochs,
-        lr=args.lr,
-        batch=args.batch,
-        seed=args.seed,
-        dataset=args.dataset,
-        data_csv=args.data_csv,
-        n_samples=args.n_samples,
-        input_dim=args.input_dim,
-        n_classes=args.n_classes,
-    )
+    config = _run_config(trainer.TrainConfig, args)
     report = trainer.train(config)
     if args.log_csv:
         trainer.write_training_log(report, args.log_csv)
@@ -505,19 +484,19 @@ def _config_value(action, key, value):
         return value
     if action.nargs == 0:
         if not isinstance(value, bool):
-            raise _UsageError(f"--config key {key!r}: expected true or false")
+            raise ValueError(f"--config key {key!r}: expected true or false")
         return value
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         value = action.type(text) if action.type else text
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"--config key {key!r}: {exc}") from None
+        raise ValueError(f"--config key {key!r}: {exc}") from None
     except ValueError:
-        raise _UsageError(
+        raise ValueError(
             f"--config key {key!r}: invalid {action.type.__name__} value: {text}"
         ) from None
     if action.choices is not None and value not in action.choices:
-        raise _UsageError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        raise ValueError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
     return value
 
 
@@ -526,7 +505,7 @@ def _apply_config_defaults(args, argv) -> argparse.Namespace:
     with open(args.config) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
-        raise _UsageError("--config must contain a JSON object")
+        raise ValueError("--config must contain a JSON object")
     parser = build_parser()
     for action in parser._subparsers._group_actions:  # reach the subparser map
         sub = action.choices.get(args.command)
@@ -534,7 +513,7 @@ def _apply_config_defaults(args, argv) -> argparse.Namespace:
             actions = {a.dest: a for a in sub._actions}
             unknown = set(loaded) - set(actions)
             if unknown:
-                raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
             sub.set_defaults(**{k: _config_value(actions[k], k, v) for k, v in loaded.items()})
     return parser.parse_args(argv)
 
@@ -550,9 +529,6 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = _apply_config_defaults(args, argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except InfeasibleTargetError as exc:
         _emit_json(
             {

@@ -49,11 +49,11 @@ def _innovation(k: _Kernel, sw2):
 
 def _envelope(k: _Kernel, sw2):
     """The bound of :func:`theorem1_bound` over the arrays of ``k``, the
-    kernel at a critical q*; nan unless 0 < V' < 1.  1 - V' is the
-    kernel's ``slope_gap``: where it is below the ulp of 1, V' itself
-    rounds to 1 and 1 - V' would read 0."""
+    kernel at a critical q*; nan unless 0 < V' < 1, inf where it exceeds
+    the float range.  1 - V' is the kernel's ``slope_gap``: where it is
+    below the ulp of 1, V' itself rounds to 1 and 1 - V' would read 0."""
     vp, gap = k.v_prime(sw2), k.slope_gap
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = (
             0.5 * np.abs(k.v_prime2(sw2)) * np.abs(_innovation(k, sw2))
             / (gap * gap * (1.0 + vp))
@@ -85,7 +85,8 @@ def theorem1_bound(init: EocInit) -> float:
     """Depth-independent envelope on |q1_l| for l >= 3.
 
     Requires 0 < V'(q*) < 1 at a critical initialisation; the recursion's
-    trajectory approaches this value from below as depth grows.
+    trajectory approaches this value from below as depth grows.  Reads
+    inf where the bound exceeds the float range.
     """
     bound = float(_envelope(_Kernel.at(init.spec, init.q_star), init.sw2))
     if math.isnan(bound):
@@ -94,6 +95,11 @@ def theorem1_bound(init: EocInit) -> float:
 
 
 def log_theorem1_bound(init: EocInit) -> float:
-    """log of :func:`theorem1_bound`; -inf when the curvature vanishes."""
+    """log of :func:`theorem1_bound`, summed from the logs of its factors
+    where the bound overflows; -inf when the curvature vanishes."""
     bound = theorem1_bound(init)
-    return math.log(bound) if bound > 0.0 else -math.inf
+    if math.isfinite(bound):
+        return math.log(bound) if bound > 0.0 else -math.inf
+    k, sw2 = _Kernel.at(init.spec, init.q_star), init.sw2
+    return (math.log(0.5 * abs(k.v_prime2(sw2))) + math.log(abs(_innovation(k, sw2)))
+            - 2.0 * math.log(k.slope_gap) - math.log1p(k.v_prime(sw2)))

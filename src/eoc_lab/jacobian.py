@@ -23,7 +23,7 @@ linear-region probability for every k and mu2 / mu1^2 = 1 / mu1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import maps
 from ._moments import _Kernel
@@ -47,15 +47,7 @@ class JacobianMoments:
     depth: int
 
     def to_dict(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "m1": self.m1,
-            "m2": self.m2,
-            "sigma_jjt": self.sigma_jjt,
-            "s1": self.s1,
-            "depth": self.depth,
-        }
+        return asdict(self)
 
 
 def jacobian_moments(init: EocInit, depth: int) -> JacobianMoments:

@@ -32,7 +32,7 @@ approximations, and the test suite pins them to 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _moments
 from ._moments import _Kernel, _value
@@ -77,14 +77,7 @@ class MapDiagnostics:
     chi1prime: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "V": self.V,
-            "Vprime": self.Vprime,
-            "Vprimeprime": self.Vprimeprime,
-            "chi1": self.chi1,
-            "chi1prime": self.chi1prime,
-        }
+        return asdict(self)
 
 
 def diagnostics(spec: ActivationSpec, sw2: float, sb2: float, q: float) -> MapDiagnostics:

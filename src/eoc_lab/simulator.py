@@ -29,7 +29,7 @@ layer without reshuffling any other layer's stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class SimConfig:
             _check_q(self.input_variance)
 
     def to_dict(self) -> dict:
-        return {
-            "init": self.init.to_dict(),
-            "depth": self.depth,
-            "width": self.width,
-            "batch": self.batch,
-            "seed": self.seed,
-            "input_variance": self.input_variance,
-        }
+        return {**asdict(self), "init": self.init.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -98,11 +91,10 @@ class LayerStats:
     rho_hat: float | None = None
 
     def to_row(self) -> list:
-        return [self.layer, self.q_hat, self.sparsity_hat, self.chi1_hat,
-                self.v_hat, self.rho_hat]
+        return list(astuple(self))
 
 
-CSV_COLUMNS = ("layer", "q_hat", "sparsity_hat", "chi1_hat", "v_hat", "rho_hat")
+CSV_COLUMNS = tuple(f.name for f in fields(LayerStats))
 
 
 def _design(init: EocInit, layer: int, x: np.ndarray) -> np.ndarray:

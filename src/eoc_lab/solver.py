@@ -30,7 +30,7 @@ target; the achieved value is what is stored in ``v_prime_at_fp``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -319,8 +319,14 @@ def init_from_m(kind: str, s: float, q_star: float, m: float) -> EocInit:
     """Critical initialisation with the clip level given directly.
 
     Used by parameter sweeps, where the (q*, m) plane is scanned with the
-    gain re-solved cell by cell.
+    gain re-solved cell by cell.  Valid for the two clipped families; relu
+    has no clip level, so use :func:`relu_init`.
     """
+    if kind == RELU:
+        raise ValueError(
+            "init_from_m takes the clipped families crelu and cst only; "
+            "relu has no clip level, use relu_init(q_star)"
+        )
     if kind not in (CRELU, CST):
         raise ValueError(f"unknown activation kind {kind!r}")
     tau = sparsity_threshold(kind, s, q_star)
@@ -361,13 +367,7 @@ class FixedPointReport:
     degenerate_line: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "points": [
-                {"q": p.q, "slope": p.slope, "stable": p.stable} for p in self.points
-            ],
-            "search_interval": list(self.search_interval),
-            "degenerate_line": self.degenerate_line,
-        }
+        return asdict(self)
 
 
 def find_fixed_points(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -72,20 +72,7 @@ class TrainConfig:
             raise ValueError("small-digits requires data_csv")
 
     def to_dict(self) -> dict:
-        return {
-            "init": self.init.to_dict(),
-            "depth": self.depth,
-            "width": self.width,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "batch": self.batch,
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "data_csv": self.data_csv,
-            "n_samples": self.n_samples,
-            "input_dim": self.input_dim,
-            "n_classes": self.n_classes,
-        }
+        return {**asdict(self), "init": self.init.to_dict()}
 
 
 # --------------------------------------------------------------------------
@@ -273,16 +260,9 @@ class TrainReport:
     step_log: list[tuple[int, int, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_accuracies": self.val_accuracies,
-            "test_accuracy": self.test_accuracy,
-            "sparsity_at_init": self.sparsity_at_init,
-            "sparsity_final": self.sparsity_final,
-            "diverged": self.diverged,
-            "epochs_run": self.epochs_run,
-            "steps_per_epoch": self.steps_per_epoch,
-        }
+        """The report's fields, less the per-step log that
+        :func:`write_training_log` writes."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "step_log"}
 
 
 def _accuracy(params, spec, x, y) -> float:

@@ -295,6 +295,17 @@ class TestSweep:
         assert written == expected.read_bytes()
         assert (b",nan\n" in written) == has_nan
 
+    def test_overflowing_bound_is_a_quiet_inf_cell(self, tmp_path):
+        """Where 1 - V'(q*) is below about 1e-154 the envelope exceeds the
+        float range: the cell reads inf and nothing is printed."""
+        out = tmp_path / "inf.csv"
+        proc = run_cli(["sweep", "--quantity", "nlo_bound", "--activation", "cst",
+                        "--sparsity", "0.85", "--qstar-range", "0.01:50:40",
+                        "--m-range", "0.01:20:40", "--out", str(out)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert [r["value"] for r in read_csv(out)].count("inf") == 3
+
     def test_peak_memory_per_cell(self, tmp_path, capsys):
         """The CSV is streamed in chunks: a 2 x 300 x 300 sweep peaks at
         about 65 traced bytes a cell, against 192 when a list of every row
@@ -576,6 +587,114 @@ class TestTrainCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {cause}\n"
         assert not out.exists()
+
+
+def _key_paths(doc, path="."):
+    """The keys of every JSON object in ``doc``, in document order, by
+    their path; a list contributes its first element as ``path[]``."""
+    if isinstance(doc, list):
+        return _key_paths(doc[0], path + "[]") if doc and isinstance(doc[0], dict) else {}
+    if not isinstance(doc, dict):
+        return {}
+    paths = {path: list(doc)}
+    for key, value in doc.items():
+        paths.update(_key_paths(value, key if path == "." else f"{path}.{key}"))
+    return paths
+
+
+_INIT = {"init": ["activation", "q_star", "sw2", "sb2", "s", "v_prime_at_fp"],
+         "init.activation": ["kind", "tau", "m"]}
+
+
+def _nested(prefix, paths):
+    return {f"{prefix}.{key}": keys for key, keys in paths.items()}
+
+
+class TestOutputSchemas:
+    """Every document's keys and every CSV header, in order, pinned
+    literally rather than read back from the dataclasses that write them."""
+
+    INIT = ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7"]
+    RUN = ["--depth", "3", "--width", "16", "--batch", "4", "--seed", "7"]
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["solve", *INIT], {
+            ".": ["schema_version", "init", "diagnostics", "nlo_bound"],
+            **_INIT,
+            "diagnostics": ["q", "V", "Vprime", "Vprimeprime", "chi1", "chi1prime"],
+        }),
+        (["solve", "--activation", "crelu", "-s", "0.6", "--qstar", "1", "--vprime", "1e-9"], {
+            ".": ["schema_version", "error"],
+            "error": ["type", "message"],
+        }),
+        (["sweep", "--quantity", "Vprime", "--activation", "crelu", "--sparsity", "0.85",
+          "--qstar-range", "0.5:3:3", "--m-range", "1:2:2", "--out", "{out}"], {
+            ".": ["schema_version", "command", "quantity", "activation", "s_list",
+                  "q_star_range", "m_range", "anchor_q_star", "gain_resolved_per_cell", "out"],
+        }),
+        (["fixed-points", *INIT], {
+            ".": ["schema_version", "init", "report"],
+            **_INIT,
+            "report": ["points", "search_interval", "degenerate_line"],
+            "report.points[]": ["q", "slope", "stable"],
+        }),
+        (["nlo", *INIT, "--depth", "5", "--out", "{out}"], {
+            ".": ["schema_version", "command", "init", "depth", "bound", "log_bound",
+                  "trajectory_max_abs_q1", "gain_resolved_per_init", "out"],
+            **_INIT,
+        }),
+        (["simulate", *INIT, *RUN, "--out", "{out}"], {
+            ".": ["schema_version", "command", "config", "backward", "out"],
+            "config": ["init", "depth", "width", "batch", "seed", "input_variance"],
+            **_nested("config", _INIT),
+        }),
+        (["correlate", *INIT, *RUN, "--rho0", "0.5", "--out", "{out}"], {
+            ".": ["schema_version", "command", "config", "rho0", "out"],
+            "config": ["init", "depth", "width", "batch", "seed", "input_variance"],
+            **_nested("config", _INIT),
+        }),
+        (["jacobian", *INIT, "--depth", "4"], {
+            ".": ["schema_version", "init", "moments"],
+            **_INIT,
+            "moments": ["mu1", "mu2", "m1", "m2", "sigma_jjt", "s1", "depth"],
+        }),
+        (["train", *INIT, "--depth", "3", "--width", "8", "--epochs", "1", "--lr", "0.1",
+          "--batch", "16", "--n-samples", "64", "--log-csv", "{out}"], {
+            ".": ["schema_version", "config", "report"],
+            "config": ["init", "depth", "width", "epochs", "lr", "batch", "seed", "dataset",
+                       "data_csv", "n_samples", "input_dim", "n_classes"],
+            **_nested("config", _INIT),
+            "report": ["train_losses", "val_accuracies", "test_accuracy", "sparsity_at_init",
+                       "sparsity_final", "diverged", "epochs_run", "steps_per_epoch"],
+        }),
+    ], ids=["solve", "infeasible", "sweep", "fixed-points", "nlo", "simulate", "correlate",
+            "jacobian", "train"])
+    def test_json_key_order(self, tmp_path, capsys, argv, keys):
+        out = str(tmp_path / "out.csv")
+        assert cli.main([arg.replace("{out}", out) for arg in argv]) in (0, 2)
+        assert _key_paths(json.loads(capsys.readouterr().out)) == keys
+
+    @pytest.mark.parametrize("argv,header", [
+        (["sweep", "--quantity", "Vprime", "--activation", "crelu", "--sparsity", "0.85",
+          "--qstar-range", "0.5:3:3", "--m-range", "1:2:2", "--out", "{out}"],
+         "activation,s,q_star,m,value"),
+        (["sweep", "--quantity", "vmap_curve", "--activation", "crelu", "--sparsity", "0.85",
+          "--qstar-range", "0.5:3:3", "--m-range", "1:2:2", "--out", "{out}"],
+         "activation,s,anchor_q_star,m,q,value"),
+        (["nlo", *INIT, "--depth", "5", "--out", "{out}"], "layer,q,r,q1,bound"),
+        (["simulate", *INIT, *RUN, "--out", "{out}"],
+         "layer,q_hat,sparsity_hat,chi1_hat,v_hat,rho_hat"),
+        (["correlate", *INIT, *RUN, "--rho0", "0.5", "--out", "{out}"],
+         "layer,q_hat,sparsity_hat,chi1_hat,v_hat,rho_hat"),
+        (["train", *INIT, "--depth", "3", "--width", "8", "--epochs", "1", "--lr", "0.1",
+          "--batch", "16", "--n-samples", "64", "--log-csv", "{out}"],
+         "epoch,step,loss,val_acc,sparsity"),
+    ], ids=["sweep", "sweep-vmap_curve", "nlo", "simulate", "correlate", "train"])
+    def test_csv_header(self, tmp_path, capsys, argv, header):
+        out = tmp_path / "out.csv"
+        assert cli.main([arg.replace("{out}", str(out)) for arg in argv]) == 0
+        capsys.readouterr()
+        assert out.read_text().split("\n", 1)[0] == header
 
 
 class TestConfigFile:

@@ -1,6 +1,9 @@
 """Tests of the finite-width correction recursions, closed forms and the
 depth-independent envelope."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -130,6 +133,20 @@ class TestEnvelope:
                 init = init_from_m("crelu", s, float(q), 2.0)
                 values.append(log_theorem1_bound(init))
             assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_log_bound_finite_where_bound_overflows(self):
+        """1 - V'(q*) is 1.6e-158 here, so the bound itself overflows to inf
+        and its log is summed from the envelope's factors.  The pinned
+        value is the same log at 220 digits: the oracle of
+        ``TestSlopeGapPrecision`` (``mp.diff`` of ``_mp_cst_moment`` at the
+        exact critical gain) evaluated at this init under
+        ``mp.workdps(220)``, which took about 21 s."""
+        init = init_from_m("cst", 0.85, 0.01, 2.57)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert theorem1_bound(init) == math.inf
+            log_bound = log_theorem1_bound(init)
+        assert abs(log_bound / 722.22459615629969 - 1) <= 1e-13
 
     def test_precondition(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,12 @@ class TestSolveInit:
         with pytest.raises(InfeasibleTargetError, match="negative"):
             init_from_m("crelu", 0.6, 1.0, 1.0)
 
+    def test_init_from_m_names_relu_as_unclipped(self):
+        with pytest.raises(ValueError, match=r"clipped families .* use relu_init"):
+            init_from_m("relu", 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown activation kind 'gelu'"):
+            init_from_m("gelu", 0.85, 1.0, 1.0)
+
     def test_inconsistent_init_fails_validation(self):
         from eoc_lab.solver import validate_init
 
