@@ -9,7 +9,6 @@ from .finite_width import (
 )
 from .gaussian import (
     erf_inv,
-    gauss_expect,
     normal_cdf,
     normal_quantile,
 )
@@ -18,7 +17,6 @@ from .maps import (
     MapDiagnostics,
     chi1,
     chi1_prime,
-    correlation_map_precise,
     diagnostics,
     v_map,
     v_prime,
@@ -56,12 +54,10 @@ __all__ = [
     "TrainReport",
     "chi1",
     "chi1_prime",
-    "correlation_map_precise",
     "critical_gain",
     "diagnostics",
     "erf_inv",
     "find_fixed_points",
-    "gauss_expect",
     "init_from_m",
     "jacobian_moments",
     "log_theorem1_bound",

@@ -28,8 +28,8 @@ one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
 The two-sided family is the one-sided value at its own threshold times 2,
 by symmetry, applied once as the last multiply.  relu keeps its exact
 closed forms (q/2, 3 q^2 / 2, 1/2): at b = inf the clip terms would be
-inf * 0.  Quadrature never enters here; the quadrature route lives in
-:mod:`eoc_lab.gaussian` and the test suite holds the two against each other.
+inf * 0.  The test suite holds every closed form against quadrature of its
+defining integral, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .activations import CRELU, CST, RELU, ActivationSpec
+from .activations import CST, RELU, ActivationSpec
 from .gaussian import _check_q, normal_cdf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -58,8 +58,7 @@ class _Kernel:
     """Closed forms of one activation family at variance q, over arrays.
 
     ``tau``, ``m`` and ``q`` broadcast against each other, and so does the
-    ``sw2`` passed to the map methods.  ``tau`` may be negative here, which
-    the shifted first moment uses.
+    ``sw2`` passed to the map methods.
     """
 
     def __init__(self, kind: str, tau, m, q):
@@ -172,34 +171,3 @@ class _Kernel:
         if self.kind == RELU:
             return 0.0 * self.q
         return self.x * self.gb / self.i0
-
-    @property
-    def slope_ratio(self):
-        """V'/chi1, 1 - slope_gap."""
-        return 1.0 - self.slope_gap
-
-    # one-sided quantities
-
-    @property
-    def first(self):
-        """E[clip(z - tau, 0, m)] of the one-sided family."""
-        return self.sq * (self.i1 - self.a * self.i0 + self.x * self.tail)
-
-
-def first_moment_shifted(spec: ActivationSpec, mu, sigma: float):
-    """E[phi(x)] for x ~ N(mu, sigma^2), vectorised over mu.
-
-    This is the exact inner integral of the two-input correlation map once
-    the second Gaussian coordinate has been integrated out.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    mu = np.asarray(mu, dtype=float)
-    if spec.kind == RELU:
-        alpha = -mu / sigma
-        return mu * normal_cdf(-alpha) + sigma * _pdf(alpha)
-    var = sigma * sigma
-    pos = _Kernel(CRELU, spec.tau - mu, spec.m, var).first
-    if spec.kind == CRELU:
-        return pos
-    return pos - _Kernel(CRELU, spec.tau + mu, spec.m, var).first

@@ -13,7 +13,7 @@ Three pointwise nonlinearities are supported:
   sign(x) * m beyond.
 
 Derivatives are indicator functions of the linear segments.  At the kink
-points themselves the derivative is defined to be 0; the kinks carry no
+points themselves the derivative is defined to be 0; those points carry no
 Gaussian measure, so every integral in the package is insensitive to the
 choice, and 0 matches the subgradient the trainer uses.
 """
@@ -94,14 +94,6 @@ class ActivationSpec:
             ax = np.abs(x)
             out = ((ax > self.tau) & (ax < self.tau + self.m)).astype(float)
         return out if out.ndim else float(out)
-
-    def kinks(self) -> tuple[float, ...]:
-        """Input locations where the activation is not differentiable."""
-        if self.kind == RELU:
-            return (0.0,)
-        if self.kind == CRELU:
-            return (self.tau, self.tau + self.m)
-        return (-self.tau - self.m, -self.tau, self.tau, self.tau + self.m)
 
     def to_dict(self) -> dict:
         if self.kind == RELU:

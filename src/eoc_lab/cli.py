@@ -5,10 +5,11 @@ Subcommands map one-to-one onto the library: ``solve`` (parameter solving),
 correction trajectories and their envelope), ``simulate`` / ``correlate``
 (Monte Carlo), ``jacobian`` and ``train``.
 
-Everything emitted is data: JSON documents (with a ``schema_version`` field)
-on stdout and CSV grids behind ``--out``.  Plotting is left to external
-tools.  All commands are deterministic given their flags; any randomness is
-behind an explicit ``--seed``.
+Everything emitted is data: JSON documents (with a ``schema_version`` field,
+and null for a non-finite number) on stdout and CSV grids (which write
+``inf`` and ``nan``) behind ``--out``.  Plotting is left to external tools.
+All commands are deterministic given their flags; any randomness is behind
+an explicit ``--seed``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible target,
 3 runtime divergence.
@@ -72,6 +73,10 @@ def _fmt(value) -> str:
 
 
 def _emit_json(doc: dict, path: str | None = None) -> None:
+    # JSON (RFC 8259) has no NaN or Infinity: one round trip turns each
+    # non-finite float, at any depth, into null; every other value, floats
+    # included, reads back exactly as it was written
+    doc = json.loads(json.dumps(doc), parse_constant=lambda token: None)
     text = json.dumps(doc, indent=2) + "\n"
     if path:
         with open(path, "w", newline="\n") as fh:
@@ -174,7 +179,7 @@ def _cmd_solve(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "init": init.to_dict(),
         "diagnostics": diag.to_dict(),
-        "nlo_bound": None if math.isnan(bound) else bound,
+        "nlo_bound": bound,
     }
     _emit_json(doc, args.out)
     return EXIT_OK

@@ -229,6 +229,13 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]
 
 
+def _check_rho(rho: float) -> float:
+    rho = float(rho)
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    return rho
+
+
 def _correlated_input_pair(config: SimConfig, rho0: float):
     """Batch of input pairs with exact empirical correlation rho0.
 
@@ -256,7 +263,7 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
     forward pass, so each layer's pre-activations are drawn jointly for all
     rows, as shared weights would give.
     """
-    xa, xb = _correlated_input_pair(config, maps._check_rho(rho0))
+    xa, xb = _correlated_input_pair(config, _check_rho(rho0))
     stacked = np.concatenate([xa, xb], axis=0)
 
     out = []

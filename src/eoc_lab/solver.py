@@ -254,7 +254,7 @@ def _slope_residual(a: float, x: float, target: float) -> float:
 
     ``a`` is Phi^{-1}(s) and ``x`` the clip level in units of sqrt(q*).
     """
-    return float(_Kernel(CRELU, a, x, 1.0).slope_ratio) - target
+    return float(1.0 - _Kernel(CRELU, a, x, 1.0).slope_gap) - target
 
 
 def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:

@@ -1,9 +1,9 @@
 """Independent routes the library is held against.
 
-The quadrature routes evaluate the defining integrals directly,
-independently of the kernel in ``eoc_lab._moments``, and are slower and
-(for the tensor rule) coarser than the library's closed forms.  The dense
-samplers draw explicit weight matrices.  The lemma closed forms sum the
+The quadrature routes evaluate the defining integrals directly, with the
+library's normal CDF and domain checks but none of its closed-form kernel,
+and are slower and (for the tensor rule) coarser than the closed forms.
+The dense samplers draw explicit weight matrices.  The lemma closed forms sum the
 finite-width recursions geometrically, and ``iterated_correlation`` is the
 infinite-width correlation trajectory the simulator is checked against.
 ``write_csv_rowwise`` is the row-at-a-time CSV writer the CLI's streamed
@@ -15,9 +15,92 @@ import math
 
 import numpy as np
 
+from eoc_lab.activations import CRELU, RELU
 from eoc_lab.finite_width import fourth_moment_innovation
-from eoc_lab.gaussian import gauss_expect
-from eoc_lab.maps import correlation_map_precise, v_prime2
+from eoc_lab.gaussian import _check_q, normal_cdf
+from eoc_lab.maps import v_prime2
+from eoc_lab.simulator import _check_rho
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# Standard-normal mass beyond 12 sigma is ~ 2e-33; activation integrands are
+# bounded or of low polynomial growth so truncating panels there is exact at
+# double precision.
+_TAIL_SIGMA = 12.0
+
+# Gauss-Legendre nodes and weights of one panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(80)
+
+
+def _pdf(x):
+    return np.exp(-0.5 * x * x) / _SQRT2PI
+
+
+def gauss_expect(f, q, kinks=()):
+    """Expectation of ``f(z)`` for ``z ~ N(0, q)``.
+
+    ``f`` must accept a numpy array and return finite values on the nodes.
+    ``kinks`` are the locations where f or a derivative jumps, in the
+    coordinates of z; each smooth segment between them is integrated with
+    composite Gauss-Legendre panels of at most 6 standard deviations, so
+    the per-panel integrand stays spectrally resolvable.
+    """
+    q = _check_q(q)
+    sq = math.sqrt(q)
+    pts = sorted({float(k) / sq for k in kinks})
+    lo, hi = -_TAIL_SIGMA, _TAIL_SIGMA
+    if pts:
+        lo, hi = min(lo, pts[0] - _TAIL_SIGMA), max(hi, pts[-1] + _TAIL_SIGMA)
+    edges = [lo] + [p for p in pts if lo < p < hi] + [hi]
+
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a <= 0:
+            continue
+        n_panels = max(1, math.ceil((b - a) / 6.0))
+        panel_edges = np.linspace(a, b, n_panels + 1)
+        for pa, pb in zip(panel_edges[:-1], panel_edges[1:]):
+            half = 0.5 * (pb - pa)
+            x = 0.5 * (pa + pb) + half * _GL_X
+            vals = np.asarray(f(sq * x), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("integrand returned a non-finite value")
+            total += half * float(np.sum(_GL_W * _pdf(x) * vals))
+    return total
+
+
+def kinks(spec):
+    """Input locations where the activation is not differentiable."""
+    if spec.kind == RELU:
+        return (0.0,)
+    if spec.kind == CRELU:
+        return (spec.tau, spec.tau + spec.m)
+    return (-spec.tau - spec.m, -spec.tau, spec.tau, spec.tau + spec.m)
+
+
+def _clip_mean(tau, m, mu, sigma):
+    """E[clip(x - tau, 0, m)], x ~ N(mu, sigma^2): with x = mu + sigma z and the
+    kinks at z = a, b, it is sigma * int_a^b (z - a) g(z) dz + m P(z > b)."""
+    a = (tau - mu) / sigma
+    b = (tau + m - mu) / sigma
+    segment = _pdf(a) - _pdf(b) - a * (normal_cdf(b) - normal_cdf(a))
+    return sigma * segment + m * normal_cdf(-b)
+
+
+def first_moment_shifted(spec, mu, sigma):
+    """E[phi(x)] for x ~ N(mu, sigma^2), vectorised over mu.
+
+    This is the exact inner integral of the two-input correlation map once
+    the second Gaussian coordinate has been integrated out.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if spec.kind == RELU:
+        return mu * normal_cdf(mu / sigma) + sigma * _pdf(mu / sigma)
+    pos = _clip_mean(spec.tau, spec.m, mu, sigma)
+    if spec.kind == CRELU:
+        return pos
+    # the odd family: phi(x) = clip(x - tau) - clip(-x - tau)
+    return pos - _clip_mean(spec.tau, spec.m, -mu, sigma)
 
 
 @functools.cache
@@ -29,7 +112,7 @@ def _hermite_rule():
 
 def v_map_quadrature(spec, sw2, sb2, q):
     """V(q) by segment-split quadrature of the defining integral."""
-    moment = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, spec.kinks())
+    moment = gauss_expect(lambda z: spec.evaluate(z) ** 2, q, kinks(spec))
     return sw2 * moment + sb2
 
 
@@ -39,7 +122,7 @@ def correlation_map(spec, sw2, sb2, q_star, rho):
     R(rho) = (sw2 * E[phi(u1) phi(u2)] + sb2) / q_star with
     u1 = sqrt(q*) z1 and u2 = sqrt(q*) (rho z1 + sqrt(1 - rho^2) z2) for
     independent standard normals z1, z2.  |rho| = 1 degenerates the double
-    integral; those limits, and the domain check, are the library's.
+    integral; those limits and the domain check are the precise route's.
     """
     if abs(rho) >= 1.0:
         return correlation_map_precise(spec, sw2, sb2, q_star, rho)
@@ -51,6 +134,40 @@ def correlation_map(spec, sw2, sb2, q_star, rho):
     u1 = sq * z1
     u2 = sq * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
     moment = float(np.sum(w * spec.evaluate(u1) * spec.evaluate(u2)))
+    return (sw2 * moment + sb2) / q_star
+
+
+def correlation_map_precise(spec, sw2, sb2, q_star, rho):
+    """R(rho) with the inner Gaussian integral done in closed form.
+
+    Conditioning on z1 reduces the double integral to a 1D integral of
+    phi(u1) * E[phi | z1], whose inner factor is the exact shifted first
+    moment; the outer integrand is then piecewise smooth and segment-split
+    panels recover near machine precision.
+    """
+    rho = _check_rho(rho)
+    q_star = _check_q(q_star)
+    if rho == 1.0:
+        return v_map_quadrature(spec, sw2, sb2, q_star) / q_star
+    if rho == -1.0:
+        split_points = [*kinks(spec), *(-k for k in kinks(spec))]
+        moment = gauss_expect(lambda z: spec.evaluate(z) * spec.evaluate(-z), q_star, split_points)
+        return (sw2 * moment + sb2) / q_star
+    sq = math.sqrt(q_star)
+    sigma = sq * math.sqrt(1.0 - rho * rho)
+    # As |rho| -> 1 the conditional moment develops transition layers of
+    # width sigma / |rho| around each kink preimage; panels must split there
+    # or the layers fall between quadrature nodes.
+    split_points = list(kinks(spec))
+    if abs(rho) > 0.05:
+        for kink in kinks(spec):
+            center = kink / rho
+            halfwidth = 10.0 * sigma / abs(rho)
+            split_points += [center - halfwidth, center, center + halfwidth]
+
+    moment = gauss_expect(
+        lambda u1: spec.evaluate(u1) * first_moment_shifted(spec, rho * u1, sigma),
+        q_star, split_points)
     return (sw2 * moment + sb2) / q_star
 
 

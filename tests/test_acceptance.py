@@ -26,7 +26,7 @@ from eoc_lab.solver import find_fixed_points, init_from_m, solve_init
 from eoc_lab.trainer import TrainConfig, train
 
 import reference_tables as tables
-from oracles import lemma_q1_closed_form, lemma_r_closed_form
+from oracles import kinks, lemma_q1_closed_form, lemma_r_closed_form
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -284,7 +284,7 @@ def test_trainability_gradient_check():
     params = init_params(config)
     h_list, _ = forward(params, init.spec, x)
     margin = min(
-        float(np.min(np.abs(h[:, :, None] - np.array(init.spec.kinks())[None, None, :])))
+        float(np.min(np.abs(h[:, :, None] - np.array(kinks(init.spec))[None, None, :])))
         for h in h_list[:-1]
     )
     assert margin > 1e-4, "finite differences need clearance from the kinks"

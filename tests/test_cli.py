@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from oracles import write_csv_rowwise
 
+import eoc_lab
 from eoc_lab import cli, finite_width, maps, simulator
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.solver import (
@@ -35,6 +36,11 @@ def run_cli(args, **kwargs):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _reject_constant(token):
+    """parse_constant for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} is not JSON")
 
 
 class TestSolve:
@@ -352,6 +358,16 @@ class TestNlo:
         assert doc["gain_resolved_per_init"] is True
         assert doc["trajectory_max_abs_q1"] <= doc["bound"] * (1 + 1e-12)
 
+    def test_overflowed_bound_is_null_in_strict_json(self, tmp_path):
+        """JSON has no Infinity: the bound is null there, the CSV says inf."""
+        out = tmp_path / "nlo.csv"
+        proc = run_cli(["nlo", "--activation", "cst", "-s", "0.85", "--qstar", "0.01",
+                        "--m", "2.57", "--depth", "10", "--out", str(out)])
+        doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+        assert doc["bound"] is None
+        assert doc["log_bound"] == pytest.approx(722.2245961562998, rel=1e-13)
+        assert {row["bound"] for row in read_csv(out)} == {"inf"}
+
 
 class TestSimulateAndCorrelate:
     def test_simulate_csv_schema(self, tmp_path):
@@ -512,8 +528,9 @@ class TestTrainCommand:
                         "--batch", "16", "--seed", "7", "--n-samples", "128",
                         "--input-dim", "8", "--n-classes", "3"])
         assert proc.returncode == 3
-        doc = json.loads(proc.stdout)
+        doc = json.loads(proc.stdout, parse_constant=_reject_constant)
         assert doc["report"]["diverged"] is True
+        assert doc["report"]["train_losses"][-1] is None
 
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -695,6 +712,20 @@ class TestOutputSchemas:
         assert cli.main([arg.replace("{out}", str(out)) for arg in argv]) == 0
         capsys.readouterr()
         assert out.read_text().split("\n", 1)[0] == header
+
+
+def test_public_api_is_pinned():
+    """The package exports what a command runs and no test oracle."""
+    assert sorted(eoc_lab.__all__) == [
+        "ActivationSpec", "EocInit", "FixedPoint", "FixedPointReport", "InfeasibleTargetError",
+        "JacobianMoments", "LayerStats", "MapDiagnostics", "NloState", "SimConfig",
+        "TrainConfig", "TrainReport", "chi1", "chi1_prime", "critical_gain", "diagnostics",
+        "erf_inv", "find_fixed_points", "init_from_m", "jacobian_moments", "log_theorem1_bound",
+        "nlo_trajectory", "normal_cdf", "normal_quantile", "relu_init", "run_backward",
+        "run_correlation", "run_forward", "solve_init", "sparsity_threshold", "theorem1_bound",
+        "train", "v_map", "v_prime", "v_prime2",
+    ]
+    assert all(hasattr(eoc_lab, name) for name in eoc_lab.__all__)
 
 
 class TestConfigFile:

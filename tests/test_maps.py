@@ -1,6 +1,7 @@
 """Tests of the variance map, its derivatives, the growth factor and the
 two-input correlation map."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,19 +9,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eoc_lab.activations import ActivationSpec
-from eoc_lab.maps import (
-    chi1,
-    chi1_prime,
-    correlation_map_precise,
-    diagnostics,
-    v_map,
-    v_prime,
-    v_prime2,
-)
+from eoc_lab.maps import chi1, chi1_prime, diagnostics, v_map, v_prime, v_prime2
 from eoc_lab.solver import init_from_m, solve_init
 
 from conftest import gaussian_mc
-from oracles import correlation_map, v_map_quadrature
+from oracles import (correlation_map, correlation_map_precise, first_moment_shifted, gauss_expect,
+                     kinks, v_map_quadrature)
 
 
 def random_cases(n, seed, kinds=("crelu", "cst")):
@@ -245,6 +239,17 @@ class TestCorrelationMap:
         init = solve_init("crelu", 0.85, 1.0, 0.7)
         with pytest.raises(ValueError):
             correlation_map(init.spec, init.sw2, init.sb2, init.q_star, 1.2)
+
+    @pytest.mark.parametrize("spec", [
+        ActivationSpec("relu"), ActivationSpec("crelu", 0.4, 1.5), ActivationSpec("cst", 0.84, 1.2),
+    ], ids=lambda spec: spec.kind)
+    def test_shifted_first_moment_matches_quadrature(self, spec):
+        """The oracle's closed-form inner integral of R against kink-split
+        quadrature of E[phi(mu + z)], z ~ N(0, sigma^2)."""
+        for mu, sigma in itertools.product((-3.0, -0.5, 0.0, 0.7, 4.0), (0.05, 1.0, 3.0)):
+            shifted = [k - mu for k in kinks(spec)]
+            quad = gauss_expect(lambda z: spec.evaluate(mu + z), sigma * sigma, shifted)
+            assert first_moment_shifted(spec, mu, sigma) == pytest.approx(quad, abs=1e-12, rel=0)
 
 
 class TestSensitivityAcrossFixedPoints:

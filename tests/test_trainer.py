@@ -20,6 +20,8 @@ from eoc_lab.trainer import (
     write_training_log,
 )
 
+from oracles import kinks
+
 
 def small_config(**overrides):
     base = dict(
@@ -53,7 +55,7 @@ class TestGradients:
         # finite differences are only trustworthy away from the kinks
         h_list, _ = forward(params, spec, x)
         margin = min(
-            float(np.min(np.abs(h[:, :, None] - np.array(spec.kinks())[None, None, :])))
+            float(np.min(np.abs(h[:, :, None] - np.array(kinks(spec))[None, None, :])))
             for h in h_list[:-1]
         )
         assert margin > 1e-4
