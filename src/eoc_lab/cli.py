@@ -6,8 +6,11 @@ correction trajectories and their envelope), ``simulate`` / ``correlate``
 (Monte Carlo), ``jacobian`` and ``train``.
 
 Everything emitted is data: JSON documents (with a ``schema_version`` field,
-and null for a non-finite number) on stdout and CSV grids (which write
-``inf`` and ``nan``) behind ``--out``.  Plotting is left to external tools.
+and null for a non-finite number) and CSV tables (which write ``inf`` and
+``nan``).  ``sweep``, ``nlo``, ``simulate`` and ``correlate`` write their
+table to ``--out`` and a JSON run header, naming the command and that path,
+to stdout; every other command writes its JSON document to ``--out``, or to
+stdout when ``--out`` is not given.  Plotting is left to external tools.
 All commands are deterministic given their flags; any randomness is behind
 an explicit ``--seed``.
 
@@ -61,15 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    return str(value)
+    return "" if value is None else repr(value)
 
 
 def _emit_json(doc: dict, path: str | None = None) -> None:
@@ -102,13 +97,27 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
             fh.write("\n".join(chunk))
 
 
+def _publish(args, doc: dict, table=None) -> None:
+    """Write a command's results under the schema header.
+
+    ``table``, a ``(header, rows)`` pair, goes to ``--out`` as CSV and
+    ``doc`` to stdout, between the command's name and that path; without a
+    table ``doc`` goes to ``--out``, or to stdout when it is not given.
+    """
+    if table is None:
+        _emit_json({"schema_version": SCHEMA_VERSION, **doc}, args.out)
+        return
+    _write_csv(args.out, *table)
+    _emit_json({"schema_version": SCHEMA_VERSION, "command": args.command, **doc, "out": args.out})
+
+
 # --------------------------------------------------------------------------
 # shared flags
 # --------------------------------------------------------------------------
 
-def _add_init_flags(sub, with_m: bool = False):
+def _add_init_flags(sub, with_m: bool = True):
     sub.add_argument("--activation", choices=KINDS, help="activation family")
-    sub.add_argument("--sparsity", "-s", type=float, dest="sparsity",
+    sub.add_argument("--sparsity", "-s", type=float,
                      help="target zero-activation rate in (0, 1)")
     sub.add_argument("--qstar", type=float, help="fixed-point variance q*")
     sub.add_argument("--vprime", type=float,
@@ -118,8 +127,11 @@ def _add_init_flags(sub, with_m: bool = False):
                          help="clip level given directly instead of --vprime")
 
 
-def _add_config_flag(sub):
-    sub.add_argument("--config", help="JSON file with default values for these flags")
+def _add_run_flags(sub, batch: int | None = 64):
+    sub.add_argument("--depth", type=int)
+    sub.add_argument("--width", type=int)
+    sub.add_argument("--batch", type=int, default=batch)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _require(args, names):
@@ -149,10 +161,13 @@ def _run_config(cls, args):
 
 
 def _range_triple(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ranges are lo:hi:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ranges are lo:hi:steps, two numbers and an integer, got {text}"
+        ) from None
     if not math.isfinite(hi - lo):
         raise argparse.ArgumentTypeError(f"lo, hi and hi - lo must be finite, got {text}")
     if not (lo < hi) or steps < 2:
@@ -161,7 +176,10 @@ def _range_triple(text: str) -> tuple[float, float, int]:
 
 
 def _float_list(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v]
+    try:
+        values = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated numbers, got {text}") from None
     if not values:
         raise argparse.ArgumentTypeError("need at least one value")
     return values
@@ -175,13 +193,7 @@ def _cmd_solve(args) -> int:
     init = _build_init(args)
     diag = maps.diagnostics(init.spec, init.sw2, init.sb2, init.q_star)
     bound = float(finite_width._envelope(_Kernel.at(init.spec, init.q_star), init.sw2))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "init": init.to_dict(),
-        "diagnostics": diag.to_dict(),
-        "nlo_bound": bound,
-    }
-    _emit_json(doc, args.out)
+    _publish(args, {"init": init.to_dict(), "diagnostics": diag.to_dict(), "nlo_bound": bound})
     return EXIT_OK
 
 
@@ -263,34 +275,23 @@ def _cmd_sweep(args) -> int:
     else:
         header = ("activation", "s", "q_star", "m", "value")
         axes = ([kind], s_txt, q_txt, m_txt)
-    _write_csv(args.out, header, _GridRows(axes, values))
-
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "quantity": args.quantity,
-            "activation": kind,
-            "s_list": args.s_list,
-            "q_star_range": list(args.qstar_range),
-            "m_range": list(args.m_range),
-            "anchor_q_star": args.qstar,
-            "gain_resolved_per_cell": True,
-            "out": args.out,
-        }
-    )
+    doc = {
+        "quantity": args.quantity,
+        "activation": kind,
+        "s_list": args.s_list,
+        "q_star_range": list(args.qstar_range),
+        "m_range": list(args.m_range),
+        "anchor_q_star": args.qstar,
+        "gain_resolved_per_cell": True,
+    }
+    _publish(args, doc, (header, _GridRows(axes, values)))
     return EXIT_OK
 
 
 def _cmd_fixed_points(args) -> int:
     init = _build_init(args)
     report = find_fixed_points(init, lo=args.lo, hi=args.hi)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "init": init.to_dict(),
-        "report": report.to_dict(),
-    }
-    _emit_json(doc, args.out)
+    _publish(args, {"init": init.to_dict(), "report": report.to_dict()})
     return EXIT_OK
 
 
@@ -301,22 +302,17 @@ def _cmd_nlo(args) -> int:
     bound = finite_width.theorem1_bound(init)
     header = (*(f.name for f in fields(finite_width.NloState)), "bound")
     rows = [tuple(map(_fmt, (*astuple(st), bound))) for st in states]
-    _write_csv(args.out, header, rows)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "nlo",
-            "init": init.to_dict(),
-            "depth": args.depth,
-            "bound": bound,
-            "log_bound": finite_width.log_theorem1_bound(init),
-            "trajectory_max_abs_q1": max(abs(st.q1) for st in states),
-            # the weight gain is re-solved from the criticality condition at
-            # every (s, q*) requested, never held fixed across q*
-            "gain_resolved_per_init": True,
-            "out": args.out,
-        }
-    )
+    doc = {
+        "init": init.to_dict(),
+        "depth": args.depth,
+        "bound": bound,
+        "log_bound": finite_width.log_theorem1_bound(init),
+        "trajectory_max_abs_q1": max(abs(st.q1) for st in states),
+        # the weight gain is re-solved from the criticality condition at
+        # every (s, q*) requested, never held fixed across q*
+        "gain_resolved_per_init": True,
+    }
+    _publish(args, doc, (header, rows))
     return EXIT_OK
 
 
@@ -325,16 +321,8 @@ def _cmd_simulate(args) -> int:
     config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_backward(config) if args.backward else simulator.run_forward(config)
     rows = [tuple(map(_fmt, st.to_row())) for st in stats]
-    _write_csv(args.out, simulator.CSV_COLUMNS, rows)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "config": config.to_dict(),
-            "backward": args.backward,
-            "out": args.out,
-        }
-    )
+    _publish(args, {"config": config.to_dict(), "backward": args.backward},
+             (simulator.CSV_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -343,16 +331,8 @@ def _cmd_correlate(args) -> int:
     config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_correlation(config, args.rho0)
     rows = [tuple(map(_fmt, st.to_row())) for st in stats]
-    _write_csv(args.out, simulator.CSV_COLUMNS, rows)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "correlate",
-            "config": config.to_dict(),
-            "rho0": args.rho0,
-            "out": args.out,
-        }
-    )
+    _publish(args, {"config": config.to_dict(), "rho0": args.rho0},
+             (simulator.CSV_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -360,12 +340,7 @@ def _cmd_jacobian(args) -> int:
     _require(args, ["depth"])
     init = _build_init(args)
     moments = jacobian.jacobian_moments(init, args.depth)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "init": init.to_dict(),
-        "moments": moments.to_dict(),
-    }
-    _emit_json(doc, args.out)
+    _publish(args, {"init": init.to_dict(), "moments": moments.to_dict()})
     return EXIT_OK
 
 
@@ -375,12 +350,7 @@ def _cmd_train(args) -> int:
     report = trainer.train(config)
     if args.log_csv:
         trainer.write_training_log(report, args.log_csv)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "report": report.to_dict(),
-    }
-    _emit_json(doc, args.out)
+    _publish(args, {"config": config.to_dict(), "report": report.to_dict()})
     return EXIT_DIVERGED if report.diverged else EXIT_OK
 
 
@@ -388,95 +358,81 @@ def _cmd_train(args) -> int:
 # parser assembly
 # --------------------------------------------------------------------------
 
+_CSV_OUT = "CSV output path"
+_JSON_OUT = "write the JSON document here instead of stdout"
+
+
+def _add_command(subs, name, func, summary, out_help):
+    """The parser of one subcommand, with its --out and --config flags."""
+    sp = subs.add_parser(name, help=summary)
+    sp.add_argument("--out", help=out_help)
+    sp.add_argument("--config", help="JSON file with default values for these flags")
+    sp.set_defaults(func=func)
+    return sp
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="eoc-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = subs.choices  # name -> subcommand parser, for --config
 
-    sp = subs.add_parser("solve", parents=[], help="solve a full initialisation")
-    _add_init_flags(sp)
-    _add_config_flag(sp)
-    sp.add_argument("--out", help="write the JSON document here instead of stdout")
-    sp.set_defaults(func=_cmd_solve)
+    sp = _add_command(subs, "solve", _cmd_solve, "solve a full initialisation", _JSON_OUT)
+    _add_init_flags(sp, with_m=False)
 
-    sp = subs.add_parser("sweep", help="evaluate a diagnostic over a (q*, m) grid")
+    sp = _add_command(subs, "sweep", _cmd_sweep, "evaluate a diagnostic over a (q*, m) grid",
+                      _CSV_OUT)
     sp.add_argument("--quantity", choices=SWEEP_QUANTITIES)
     sp.add_argument("--activation", choices=(CRELU, CST))
     sp.add_argument("--sparsity", type=_float_list, dest="s_list",
                     help="comma-separated sparsity levels")
-    sp.add_argument("--qstar-range", type=_range_triple, dest="qstar_range",
+    sp.add_argument("--qstar-range", type=_range_triple,
                     help="lo:hi:steps grid of q* (the q axis for vmap_curve)")
-    sp.add_argument("--m-range", type=_range_triple, dest="m_range",
-                    help="lo:hi:steps grid of clip levels")
-    sp.add_argument("--qstar", type=float,
-                    help="anchor q* for vmap_curve (default 1.0)")
-    sp.add_argument("--out", help="CSV output path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_sweep)
+    sp.add_argument("--m-range", type=_range_triple, help="lo:hi:steps grid of clip levels")
+    sp.add_argument("--qstar", type=float, help="anchor q* for vmap_curve (default 1.0)")
 
-    sp = subs.add_parser("fixed-points", help="all fixed points of the variance map")
-    _add_init_flags(sp, with_m=True)
+    sp = _add_command(subs, "fixed-points", _cmd_fixed_points,
+                      "all fixed points of the variance map", _JSON_OUT)
+    _add_init_flags(sp)
     sp.add_argument("--lo", type=float, help="lower end of the search interval")
     sp.add_argument("--hi", type=float, help="upper end of the search interval")
-    sp.add_argument("--out", help="write the JSON document here instead of stdout")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_fixed_points)
 
-    sp = subs.add_parser("nlo", help="finite-width correction trajectory and bound")
-    _add_init_flags(sp, with_m=True)
+    sp = _add_command(subs, "nlo", _cmd_nlo, "finite-width correction trajectory and bound",
+                      _CSV_OUT)
+    _add_init_flags(sp)
     sp.add_argument("--depth", type=int)
-    sp.add_argument("--out", help="CSV output path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_nlo)
 
-    sp = subs.add_parser("simulate", help="finite-width Monte Carlo forward/backward run")
-    _add_init_flags(sp, with_m=True)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--batch", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = _add_command(subs, "simulate", _cmd_simulate,
+                      "finite-width Monte Carlo forward/backward run", _CSV_OUT)
+    _add_init_flags(sp)
+    _add_run_flags(sp)
     sp.add_argument("--backward", action="store_true",
                     help="also measure the backpropagated error moment")
-    sp.add_argument("--input-variance", type=float, dest="input_variance",
+    sp.add_argument("--input-variance", type=float,
                     help="draw inputs at this variance instead of q*")
-    sp.add_argument("--out", help="CSV output path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = subs.add_parser("correlate", help="two-input correlation trajectory")
-    _add_init_flags(sp, with_m=True)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--batch", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = _add_command(subs, "correlate", _cmd_correlate, "two-input correlation trajectory",
+                      _CSV_OUT)
+    _add_init_flags(sp)
+    _add_run_flags(sp)
     sp.add_argument("--rho0", type=float, help="initial correlation in [-1, 1]")
-    sp.add_argument("--out", help="CSV output path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_correlate)
 
-    sp = subs.add_parser("jacobian", help="spectral moments of the depth-L Jacobian")
-    _add_init_flags(sp, with_m=True)
+    sp = _add_command(subs, "jacobian", _cmd_jacobian,
+                      "spectral moments of the depth-L Jacobian", _JSON_OUT)
+    _add_init_flags(sp)
     sp.add_argument("--depth", type=int, help="number of layers L")
-    sp.add_argument("--out", help="write the JSON document here instead of stdout")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_jacobian)
 
-    sp = subs.add_parser("train", help="desk-scale MLP training demo")
-    _add_init_flags(sp, with_m=True)
+    sp = _add_command(subs, "train", _cmd_train, "desk-scale MLP training demo",
+                      "write the JSON report here instead of stdout")
+    _add_init_flags(sp)
+    _add_run_flags(sp, batch=None)
     sp.add_argument("--dataset", choices=trainer.DATASETS, default=trainer.SYNTHETIC_BLOBS)
-    sp.add_argument("--data-csv", dest="data_csv", help="digit CSV path for small-digits")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--width", type=int)
+    sp.add_argument("--data-csv", help="digit CSV path for small-digits")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--lr", type=float)
-    sp.add_argument("--batch", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n-samples", type=int, dest="n_samples", default=2000)
-    sp.add_argument("--input-dim", type=int, dest="input_dim", default=64)
-    sp.add_argument("--n-classes", type=int, dest="n_classes", default=10)
-    sp.add_argument("--log-csv", dest="log_csv", help="per-step CSV training log path")
-    sp.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_config_flag(sp)
-    sp.set_defaults(func=_cmd_train)
+    sp.add_argument("--n-samples", type=int, default=2000)
+    sp.add_argument("--input-dim", type=int, default=64)
+    sp.add_argument("--n-classes", type=int, default=10)
+    sp.add_argument("--log-csv", help="per-step CSV training log path")
 
     return parser
 
@@ -505,21 +461,18 @@ def _config_value(action, key, value):
     return value
 
 
-def _apply_config_defaults(args, argv) -> argparse.Namespace:
+def _apply_config_defaults(parser, args, argv) -> argparse.Namespace:
     """Re-parse with values from --config installed as defaults."""
     with open(args.config) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("--config must contain a JSON object")
-    parser = build_parser()
-    for action in parser._subparsers._group_actions:  # reach the subparser map
-        sub = action.choices.get(args.command)
-        if sub is not None:
-            actions = {a.dest: a for a in sub._actions}
-            unknown = set(loaded) - set(actions)
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            sub.set_defaults(**{k: _config_value(actions[k], k, v) for k, v in loaded.items()})
+    sub = parser.commands[args.command]
+    actions = {a.dest: a for a in sub._actions}
+    unknown = set(loaded) - set(actions)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    sub.set_defaults(**{k: _config_value(actions[k], k, v) for k, v in loaded.items()})
     return parser.parse_args(argv)
 
 
@@ -531,16 +484,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if getattr(args, "config", None):
-            args = _apply_config_defaults(args, argv)
+        if args.config:
+            args = _apply_config_defaults(parser, args, argv)
         return args.func(args)
     except InfeasibleTargetError as exc:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"type": "infeasible_target", "message": str(exc)},
-            }
-        )
+        error = {"type": "infeasible_target", "message": str(exc)}
+        _emit_json({"schema_version": SCHEMA_VERSION, "error": error})
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

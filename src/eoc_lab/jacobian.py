@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from . import maps
 from ._moments import _Kernel
 from .solver import EocInit
 
@@ -58,15 +57,14 @@ def jacobian_moments(init: EocInit, depth: int) -> JacobianMoments:
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    c = maps.chi1(init.spec, init.sw2, init.q_star)
-    if not abs(c - 1.0) <= 1e-8:
-        raise ValueError(
-            f"spectral moments are defined here only at criticality; chi1(q*) = {c!r}"
-        )
     mu1 = float(_Kernel.at(init.spec, init.q_star).linear)
+    growth = init.sw2 * mu1  # chi1(q*)
+    if not abs(growth - 1.0) <= 1e-8:
+        raise ValueError(
+            f"spectral moments are defined here only at criticality; chi1(q*) = {growth!r}"
+        )
     mu2 = mu1  # indicator derivative: identical moments of every order
     ratio = mu2 / (mu1 * mu1)
-    growth = init.sw2 * mu1
     m1 = growth ** depth
     m2 = growth ** (2 * depth) * depth * (ratio + 1.0 / depth - 1.0 - S1_GAUSSIAN_WEIGHTS)
     # at criticality the variance reduces to a form exactly linear in depth;

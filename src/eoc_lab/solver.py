@@ -384,6 +384,8 @@ def find_fixed_points(
     hi = init.q_star * 20.0 if hi is None else float(hi)
     if not (0.0 < lo < init.q_star < hi):
         raise ValueError("need 0 < lo < q* < hi")
+    if not math.isfinite(hi):
+        raise ValueError(f"hi must be finite, got {hi}")
 
     spec, sw2, sb2 = init.spec, init.sw2, init.sb2
 
@@ -411,12 +413,8 @@ def find_fixed_points(
             if abs(resid(root)) <= _FIXED_POINT_REPORT_TOL * max(1.0, root):
                 roots.append(root)
 
-    points = tuple(
-        FixedPoint(
-            q=r,
-            slope=maps.v_prime(spec, sw2, r),
-            stable=abs(maps.v_prime(spec, sw2, r)) < 1.0,
-        )
-        for r in sorted(roots)
-    )
-    return FixedPointReport(points=points, search_interval=(lo, hi))
+    points = []
+    for r in sorted(roots):
+        slope = maps.v_prime(spec, sw2, r)
+        points.append(FixedPoint(q=r, slope=slope, stable=abs(slope) < 1.0))
+    return FixedPointReport(points=tuple(points), search_interval=(lo, hi))

@@ -233,11 +233,8 @@ def loss_and_grads(params, spec, x, y):
 
 def observed_sparsity(params, spec, x) -> float:
     """Mean fraction of exactly-zero activations over the hidden stack."""
-    depth = len(params)
-    if depth < 2:
-        return 0.0
     _, a_list = forward(params, spec, x)
-    zeros = [float(np.mean(a == 0.0)) for a in a_list[: depth - 1]]
+    zeros = [float(np.mean(a == 0.0)) for a in a_list[:-1]]
     return float(np.mean(zeros))
 
 
@@ -266,8 +263,6 @@ class TrainReport:
 
 
 def _accuracy(params, spec, x, y) -> float:
-    if len(y) == 0:
-        return float("nan")
     h_list, _ = forward(params, spec, x)
     pred = np.argmax(h_list[-1], axis=1)
     return float(np.mean(pred == y))

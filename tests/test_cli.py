@@ -1,6 +1,7 @@
 """Tests of the command-line surface: flag handling, output schemas,
 exit codes and determinism."""
 
+import argparse
 import csv
 import itertools
 import json
@@ -255,6 +256,31 @@ class TestSweep:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, flag, text, form", [
+        ("s_list", "--sparsity", "0.85,x", "comma-separated numbers"),
+        ("qstar_range", "--qstar-range", "a:b:3", "lo:hi:steps"),
+        ("m_range", "--m-range", "1:2:2.5", "lo:hi:steps"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_unparsable_value_names_the_form(self, tmp_path, key, flag, text, form, route):
+        """A value that is not a number is reported with the form the flag
+        takes, not with the name of the function that parses it."""
+        out = tmp_path / "grid.csv"
+        given = {"--sparsity": "0.85", "--qstar-range": "0.5:3:3", "--m-range": "1:2:2"}
+        if route == "flag":
+            given[flag] = text
+        else:
+            del given[flag]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: text}))
+            given["--config"] = str(cfg)
+        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
+                        *(f"{k}={v}" for k, v in given.items()), "--out", str(out)])
+        assert proc.returncode == 1
+        assert form in proc.stderr and text in proc.stderr
+        assert "_float_list" not in proc.stderr and "_range_triple" not in proc.stderr
+        assert not out.exists()
+
     def test_bad_late_sparsity_leaves_no_file(self, tmp_path):
         """Every sparsity's block is computed before the file is opened."""
         out = tmp_path / "grid.csv"
@@ -343,6 +369,12 @@ class TestFixedPointsCommand:
         proc = run_cli(["fixed-points", "--activation", "relu", "--qstar", "1"])
         doc = json.loads(proc.stdout)
         assert doc["report"]["degenerate_line"] is True
+
+    def test_infinite_hi_is_named_usage_error(self):
+        proc = run_cli(["fixed-points", "--activation", "crelu", "-s", "0.85",
+                        "--qstar", "1", "--m", "2.0", "--hi", "inf"])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: hi must be finite, got inf\n"
 
 
 class TestNlo:
@@ -726,6 +758,90 @@ def test_public_api_is_pinned():
         "train", "v_map", "v_prime", "v_prime2",
     ]
     assert all(hasattr(eoc_lab, name) for name in eoc_lab.__all__)
+
+
+_INIT_FLAGS = {
+    ("--activation",): ("activation", None, ["relu", "crelu", "cst"]),
+    ("--sparsity", "-s"): ("sparsity", None, None),
+    ("--qstar",): ("qstar", None, None),
+    ("--vprime",): ("vprime", None, None),
+}
+_M_FLAG = {("--m",): ("m", None, None)}
+_OUT_FLAGS = {("--out",): ("out", None, None), ("--config",): ("config", None, None)}
+_DEPTH = {("--depth",): ("depth", None, None)}
+_SIM_FLAGS = {
+    **_DEPTH,
+    ("--width",): ("width", None, None),
+    ("--batch",): ("batch", 64, None),
+    ("--seed",): ("seed", 0, None),
+}
+
+
+class TestFlagSurface:
+    """Every subcommand's option strings with their dest, default and
+    choices, pinned literally (in no particular order)."""
+
+    EXPECTED = {
+        "solve": {**_INIT_FLAGS, **_OUT_FLAGS},
+        "sweep": {
+            ("--quantity",): ("quantity", None, ["Vprime", "Vprimeprime", "chi1prime",
+                                                 "nlo_bound", "vmap_curve"]),
+            ("--activation",): ("activation", None, ["crelu", "cst"]),
+            ("--sparsity",): ("s_list", None, None),
+            ("--qstar-range",): ("qstar_range", None, None),
+            ("--m-range",): ("m_range", None, None),
+            ("--qstar",): ("qstar", None, None),
+            **_OUT_FLAGS,
+        },
+        "fixed-points": {
+            **_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS,
+            ("--lo",): ("lo", None, None),
+            ("--hi",): ("hi", None, None),
+        },
+        "nlo": {**_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_DEPTH},
+        "simulate": {
+            **_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_SIM_FLAGS,
+            ("--backward",): ("backward", False, None),
+            ("--input-variance",): ("input_variance", None, None),
+        },
+        "correlate": {
+            **_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_SIM_FLAGS,
+            ("--rho0",): ("rho0", None, None),
+        },
+        "jacobian": {**_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_DEPTH},
+        "train": {
+            **_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_DEPTH,
+            ("--width",): ("width", None, None),
+            ("--batch",): ("batch", None, None),
+            ("--seed",): ("seed", 0, None),
+            ("--dataset",): ("dataset", "synthetic-blobs", ["synthetic-blobs", "small-digits"]),
+            ("--data-csv",): ("data_csv", None, None),
+            ("--epochs",): ("epochs", None, None),
+            ("--lr",): ("lr", None, None),
+            ("--n-samples",): ("n_samples", 2000, None),
+            ("--input-dim",): ("input_dim", 64, None),
+            ("--n-classes",): ("n_classes", 10, None),
+            ("--log-csv",): ("log_csv", None, None),
+        },
+    }
+
+    @staticmethod
+    def _commands():
+        parser = cli.build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return subs.choices
+
+    def test_command_names(self):
+        assert list(self._commands()) == list(self.EXPECTED)
+
+    @pytest.mark.parametrize("command", list(EXPECTED))
+    def test_flags(self, command):
+        flags = {
+            tuple(a.option_strings): (a.dest, a.default,
+                                      None if a.choices is None else list(a.choices))
+            for a in self._commands()[command]._actions if a.dest != "help"
+        }
+        assert flags == self.EXPECTED[command]
 
 
 class TestConfigFile:

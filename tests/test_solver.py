@@ -231,3 +231,5 @@ class TestFixedPoints:
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
         with pytest.raises(ValueError):
             find_fixed_points(init, lo=2.0, hi=10.0)
+        with pytest.raises(ValueError, match="hi must be finite"):
+            find_fixed_points(init, lo=0.1, hi=math.inf)
