@@ -137,7 +137,8 @@ def _add_run_flags(sub, batch: int | None = 64):
 def _require(args, names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise ValueError("missing required flag(s): " + ", ".join("--" + n for n in missing))
+        flags = {a.dest: a.option_strings[0] for a in args.parser._actions}
+        raise ValueError("missing required flag(s): " + ", ".join(flags[n] for n in missing))
 
 
 def _build_init(args) -> EocInit:
@@ -363,18 +364,21 @@ _JSON_OUT = "write the JSON document here instead of stdout"
 
 
 def _add_command(subs, name, func, summary, out_help):
-    """The parser of one subcommand, with its --out and --config flags."""
-    sp = subs.add_parser(name, help=summary)
+    """The parser of one subcommand, with its --out and --config flags.
+
+    The parsed arguments carry this parser, for --config and for errors
+    that name its flags.
+    """
+    sp = subs.add_parser(name, help=summary, allow_abbrev=False)
     sp.add_argument("--out", help=out_help)
     sp.add_argument("--config", help="JSON file with default values for these flags")
-    sp.set_defaults(func=func)
+    sp.set_defaults(func=func, parser=sp)
     return sp
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="eoc-lab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="eoc-lab", description=__doc__.splitlines()[0], allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", metavar="command")
-    parser.commands = subs.choices  # name -> subcommand parser, for --config
 
     sp = _add_command(subs, "solve", _cmd_solve, "solve a full initialisation", _JSON_OUT)
     _add_init_flags(sp, with_m=False)
@@ -467,7 +471,7 @@ def _apply_config_defaults(parser, args, argv) -> argparse.Namespace:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("--config must contain a JSON object")
-    sub = parser.commands[args.command]
+    sub = args.parser
     actions = {a.dest: a for a in sub._actions}
     unknown = set(loaded) - set(actions)
     if unknown:

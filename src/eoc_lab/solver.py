@@ -47,9 +47,7 @@ _FP_GRID = 2000
 
 # |V(q*) - q*| and |chi1(q*) - 1| accepted for a solved initialisation
 _FIXED_POINT_TOL = 1e-9
-# absolute x-tolerance of bracketed root finding
-_ROOT_XTOL = 1e-12
-# |V(root) - root| accepted when reporting a fixed point
+# |V(root) - root| / root accepted when reporting a fixed point
 _FIXED_POINT_REPORT_TOL = 1e-8
 
 # the conditions a critical initialisation must meet, in the order they are
@@ -68,67 +66,31 @@ class InfeasibleTargetError(ValueError):
     """Raised when no valid initialisation exists for the requested targets."""
 
 
-# relative tolerance of the root finder, just above its floor of 4 ulp(1)
-_RTOL = 8.9e-16
-_MAXITER = 100
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in the sign-changing bracket [lo, hi], to the last bit.
 
-
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """A root of f in the sign-changing bracket [xa, xb], by Brent's method.
-
-    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
-    in the form of the classic ``brentq`` C routine: inverse quadratic
-    interpolation or secant steps, falling back to bisection.  The result is
-    within ``xtol + rtol |x|`` of a root; a root at an endpoint is returned
-    as is.  Raises ValueError when f(xa) and f(xb) have the same sign and
-    RuntimeError when 100 iterations do not converge.
+    An endpoint where f vanishes is returned as is.  Otherwise the bracket
+    is halved until its ends are adjacent floats, and the end with the
+    smaller |f| is returned.  Raises ValueError when f(lo) and f(hi) have
+    the same sign.
     """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent iteration did not converge in {_MAXITER} steps, last x = {xcur!r}")
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 @dataclass(frozen=True)
@@ -260,18 +222,13 @@ def _slope_residual(a: float, x: float, target: float) -> float:
 def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
     a = normal_quantile(s)
     lo, hi = X_BRACKET
-    if _slope_residual(a, lo, v_prime_target) * _slope_residual(a, hi, v_prime_target) > 0.0:
+    try:
+        x = _bisect(lambda x: _slope_residual(a, x, v_prime_target), lo, hi)
+    except ValueError:
         raise InfeasibleTargetError(
             f"no clip level m = x sqrt(q*) with x in ({lo}, {hi}) achieves slope "
             f"{v_prime_target} at s={s}, q*={q_star}"
-        )
-    x = _brent(
-        lambda x: _slope_residual(a, x, v_prime_target),
-        lo,
-        hi,
-        xtol=_ROOT_XTOL,
-        rtol=_RTOL,
-    )
+        ) from None
     return math.sqrt(q_star) * x
 
 
@@ -377,8 +334,10 @@ def find_fixed_points(
 ) -> FixedPointReport:
     """Locate all solutions of V(q) = q in [lo, hi].
 
-    A sign-change scan on a dense grid brackets each root and bisection
-    (Brent) refines it.  The anchoring fixed point q* is always included.
+    A sign scan on a dense grid brackets each root and bisection refines
+    it to the last bit.  Every tolerance is relative to q, so the search
+    is the same at every scale of q*.  The anchoring fixed point q* is
+    always included.
     """
     lo = init.q_star / 20.0 if lo is None else float(lo)
     hi = init.q_star * 20.0 if hi is None else float(hi)
@@ -395,26 +354,22 @@ def find_fixed_points(
     qs = np.linspace(lo, hi, _FP_GRID + 1)
     vals = resid(qs)
 
-    tol_line = 1e-9 * max(1.0, hi)
-    if np.all(np.abs(vals) <= tol_line):
+    if np.all(np.abs(vals) <= 1e-9 * qs):
         point = FixedPoint(q=init.q_star, slope=maps.v_prime(spec, sw2, init.q_star), stable=False)
         return FixedPointReport(points=(point,), search_interval=(lo, hi), degenerate_line=True)
 
-    roots: list[float] = [init.q_star]
-    for i in range(_FP_GRID):
-        a, b, fa, fb = qs[i], qs[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            root = float(a)
-        elif fa * fb < 0.0:
-            root = _brent(resid, a, b, xtol=_ROOT_XTOL, rtol=_RTOL)
-        else:
-            continue
-        if all(abs(root - r) > 1e-6 * max(1.0, root) for r in roots):
-            if abs(resid(root)) <= _FIXED_POINT_REPORT_TOL * max(1.0, root):
+    # grid points where V(q) = q exactly, then a root in each interval
+    # whose ends have opposite signs
+    signs = np.sign(vals)
+    found = qs[signs == 0.0].tolist() + [
+        _bisect(resid, qs[i], qs[i + 1]) for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    ]
+    roots = [init.q_star]
+    for root in found:
+        if all(abs(root - r) > 1e-6 * root for r in roots):
+            if abs(resid(root)) <= _FIXED_POINT_REPORT_TOL * root:
                 roots.append(root)
 
-    points = []
-    for r in sorted(roots):
-        slope = maps.v_prime(spec, sw2, r)
-        points.append(FixedPoint(q=r, slope=slope, stable=abs(slope) < 1.0))
-    return FixedPointReport(points=tuple(points), search_interval=(lo, hi))
+    slopes = [(r, maps.v_prime(spec, sw2, r)) for r in sorted(roots)]
+    points = tuple(FixedPoint(q=r, slope=k, stable=abs(k) < 1.0) for r, k in slopes)
+    return FixedPointReport(points=points, search_interval=(lo, hi))

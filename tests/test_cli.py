@@ -72,6 +72,13 @@ class TestSolve:
         proc = run_cli(["solve", "--activation", "crelu"])
         assert proc.returncode == 1
 
+    def test_abbreviated_flag_is_rejected(self):
+        proc = run_cli(["solve", "--activation", "crelu", "-s", "0.85",
+                        "--qstar", "1", "--vprime", "0.7", "--q", "2"])
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --q 2" in proc.stderr
+        assert proc.stdout == ""
+
     def test_bad_flag_value(self):
         proc = run_cli(["solve", "--activation", "crelu", "-s", "1.5",
                         "--qstar", "1", "--vprime", "0.7"])
@@ -232,6 +239,13 @@ class TestSweep:
                         "--sparsity", "0.85"])
         assert proc.returncode == 1
 
+    def test_missing_flags_named_by_option_string(self):
+        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: missing required flag(s): --sparsity, --qstar-range, --m-range, --out\n"
+        )
+
     def test_empty_sparsity_list_is_usage_error(self, tmp_path):
         out = tmp_path / "grid.csv"
         proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
@@ -375,6 +389,17 @@ class TestFixedPointsCommand:
                         "--qstar", "1", "--m", "2.0", "--hi", "inf"])
         assert proc.returncode == 1
         assert proc.stderr == "error: hi must be finite, got inf\n"
+
+    def test_huge_hi_raises_no_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", "fixed-points",
+             "--activation", "crelu", "-s", "0.85", "--qstar", "1", "--m", "2.0",
+             "--hi", "1e308"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["report"]["search_interval"] == [0.05, 1e308]
 
 
 class TestNlo:

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from eoc_lab.gaussian import normal_quantile
 from eoc_lab.maps import chi1, v_map, v_prime, v_prime2
 from eoc_lab.solver import (
-    _RTOL,
     EocInit,
     InfeasibleTargetError,
     find_fixed_points,
     init_from_m,
     relu_init,
     solve_init,
-    _brent,
+    _bisect,
     sparsity_threshold,
 )
 
@@ -39,29 +39,62 @@ def bisect_series_erf_inv(p, lo=0.0, hi=8.0):
     return 0.5 * (lo + hi)
 
 
-class TestBrent:
+def _brackets_root(f, x):
+    """f vanishes at x, or changes sign between x and a neighbouring float."""
+    sign = math.copysign(1.0, f(x))
+    return f(x) == 0.0 or any(
+        math.copysign(1.0, f(math.nextafter(x, side))) != sign for side in (-math.inf, math.inf)
+    )
+
+
+class TestBisect:
     @pytest.mark.parametrize(
         "f, lo, hi, root",
         [
             (lambda x: x ** 3 - 2.0, 0.0, 2.0, lambda: mp.cbrt(2)),
             (math.sin, 3.0, 4.0, lambda: mp.pi),
-            (lambda x: math.log(x) - 50.0, 1.0, 1e30, lambda: mp.exp(50)),
             (lambda x: 1e-3 - x, -5.0, 5.0, lambda: mp.mpf("1e-3")),
         ],
     )
-    def test_root_within_tolerance(self, f, lo, hi, root):
-        xtol = 1e-12
-        x = _brent(f, lo, hi, xtol=xtol, rtol=_RTOL)
+    def test_root_within_one_ulp(self, f, lo, hi, root):
+        x = _bisect(f, lo, hi)
+        assert _brackets_root(f, x)
         with mp.workdps(40):
-            assert abs(mp.mpf(x) - root()) <= xtol + _RTOL * abs(x)
+            assert abs(mp.mpf(x) - root()) <= math.ulp(x)
+
+    def test_root_on_a_plateau_of_zeros(self):
+        """fl(log x) == 50 holds on a plateau 34 ulps wide around e^50, so
+        the bisection stops where f is exactly zero."""
+        x = _bisect(lambda x: math.log(x) - 50.0, 1.0, 1e30)
+        assert math.log(x) == 50.0
+        with mp.workdps(40):
+            assert abs(mp.mpf(x) - mp.exp(50)) <= 20 * math.ulp(x)
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=_RTOL)
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_root_at_endpoint_returned(self):
-        assert _brent(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, rtol=_RTOL) == 1.0
-        assert _brent(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12, rtol=_RTOL) == 1.0
+        assert _bisect(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_golden_clip_levels_to_the_last_bits(self):
+        """m / sqrt(q*) against a 50-digit root of the same slope residual,
+        g(x) = 1 - x g(a + x) / (Phi(a + x) - Phi(a)) - V', taken at the
+        float a = Phi^-1(s) the solver uses."""
+        worst = 0.0
+        for s, v in sorted({(s, v) for (s, v, _) in tables.ONE_SIDED}):
+            a = normal_quantile(s)
+            with mp.workdps(50):
+                ma, mv = mp.mpf(a), mp.mpf(v)
+                for q in (1.0, 2.0, 3.0):
+                    x = solve_init("crelu", s, q, v).spec.m / math.sqrt(q)
+                    root = mp.findroot(
+                        lambda t: 1 - t * mp.npdf(ma + t) / (mp.ncdf(ma + t) - mp.ncdf(ma)) - mv,
+                        mp.mpf(x),
+                    )
+                    worst = max(worst, float(abs(mp.mpf(x) - root)))
+        assert worst <= 2e-15
 
 
 class TestSparsityThreshold:
@@ -226,6 +259,23 @@ class TestFixedPoints:
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
         report = find_fixed_points(init, lo=0.1, hi=10.0)
         assert [p.q for p in report.points] == [pytest.approx(1.0, abs=1e-9)]
+
+    @pytest.mark.parametrize("q_star", [1e-150, 1e-12, 1e-6, 1.0, 1e6, 1e150])
+    def test_search_is_scale_invariant(self, q_star):
+        init = init_from_m("crelu", 0.85, q_star, 2.0 * math.sqrt(q_star))
+        report = find_fixed_points(init)
+        assert not report.degenerate_line
+        assert [p.q / q_star for p in report.points] == [
+            pytest.approx(x, rel=1e-12) for x in (1.0, 1.2347663871617, 3.4765254748842)
+        ]
+        assert find_fixed_points(relu_init(q_star)).degenerate_line
+
+    def test_root_on_the_upper_end_is_reported(self):
+        init = init_from_m("crelu", 0.85, 1.0, 2.0)
+        hi = 1.2347663871617907
+        assert v_map(init.spec, init.sw2, init.sb2, hi) - hi == 0.0
+        report = find_fixed_points(init, lo=0.5, hi=hi)
+        assert [p.q for p in report.points] == [1.0, hi]
 
     def test_interval_validation(self):
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
