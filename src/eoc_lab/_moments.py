@@ -26,14 +26,15 @@ one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
     chi1' = sw2 / 2q (a g(a) - b g(b))
 
 The two-sided family is the one-sided value at its own threshold times 2,
-by symmetry, applied once as the last multiply.  relu keeps its exact
-closed forms (q/2, 3 q^2 / 2, 1/2): at b = inf the clip terms would be
-inf * 0.  The test suite holds every closed form against quadrature of its
-defining integral, in ``tests/oracles.py``.
+by symmetry, applied once as the last multiply.  relu is the unclipped
+member, tau = 0 and m = inf, whose clip terms vanish (i0 = 1/2, tail = 0).
+The test suite holds every closed form against quadrature of its defining
+integral, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property
 
@@ -58,26 +59,34 @@ class _Kernel:
     """Closed forms of one activation family at variance q, over arrays.
 
     ``tau``, ``m`` and ``q`` broadcast against each other, and so does the
-    ``sw2`` passed to the map methods.
+    ``sw2`` passed to the map methods.  Cached properties are free of q.
     """
 
     def __init__(self, kind: str, tau, m, q):
         self.kind, self.q = kind, q
-        if kind == RELU:
-            return
-        self.sq = np.sqrt(q)
-        self.a = tau / self.sq
-        self.b = (tau + m) / self.sq
-        self.x = m / self.sq
+        sq = np.sqrt(q)
+        self.a = tau / sq
+        self.b = (tau + m) / sq
+        self.x = m / sq
         self.ga, self.gb = _pdf(self.a), _pdf(self.b)
         # np.subtract keeps i0 a numpy scalar on scalar input, so 1 / i0 at
         # a saturated cell follows numpy's division rules like the arrays do
         self.i0 = np.subtract(normal_cdf(self.b), normal_cdf(self.a))
         self.tail = normal_cdf(-self.b)
+        if kind == RELU:
+            # a = 0; the clip terms must read 0 at b = x = inf, not inf * 0
+            self.b = self.x = self.a
 
     @classmethod
     def at(cls, spec: ActivationSpec, q) -> "_Kernel":
         return cls(spec.kind, spec.tau, spec.m, _check_q(q))
+
+    def unit(self) -> "_Kernel":
+        """The same a, b and x at q = 1, so moments read in units of q:
+        E[phi^2] / q, E[phi^4] / q^2, q V'' and q chi1'."""
+        unit = copy.copy(self)
+        unit.q = 1.0
+        return unit
 
     def _family(self, one):
         return 2.0 * one if self.kind == CST else one
@@ -109,21 +118,17 @@ class _Kernel:
 
     # moments of phi and phi'
 
-    @cached_property
+    @property
     def second(self):
         """E[phi(z)^2]."""
-        if self.kind == RELU:
-            return 0.5 * self.q
         a, x = self.a, self.x
         return self._family(
             self.q * (self.i2 - 2.0 * a * self.i1 + a * a * self.i0 + x * x * self.tail)
         )
 
-    @cached_property
+    @property
     def fourth(self):
         """E[phi(z)^4]."""
-        if self.kind == RELU:
-            return 1.5 * self.q * self.q
         a, x = self.a, self.x
         a2 = a * a
         linear = (
@@ -135,8 +140,6 @@ class _Kernel:
     @cached_property
     def linear(self):
         """P(phi'(z) = 1), which is E[phi'(z)^(2k)] for every k >= 1."""
-        if self.kind == RELU:
-            return 0.5 + 0.0 * self.q
         return self._family(self.i0)
 
     # the variance map, its derivatives and the growth factor
@@ -148,26 +151,18 @@ class _Kernel:
         return sw2 * self.linear
 
     def v_prime(self, sw2):
-        if self.kind == RELU:
-            return 0.5 * sw2 + 0.0 * self.q
         return self._family(sw2 * (self.i0 - self.x * self.gb))
 
     def chi1_prime(self, sw2):
-        if self.kind == RELU:
-            return 0.0 * sw2 * self.q
-        return self._family(sw2 / (2.0 * self.q) * self._edge)
+        return self._family(0.5 * sw2 / self.q * self._edge)
 
     def v_prime2(self, sw2):
-        if self.kind == RELU:
-            return 0.0 * sw2 * self.q
         x, b, gb = self.x, self.b, self.gb
-        return self._family(sw2 / (2.0 * self.q) * (self._edge + x * (1.0 - b * b) * gb))
+        return self._family(0.5 * sw2 / self.q * (self._edge + x * (1.0 - b * b) * gb))
 
     @property
     def slope_gap(self):
-        """1 - V'/chi1, which is x g(b) / i0 for both clipped families and
-        0 for relu; at a critical init it is 1 - V'(q*) without the
-        cancellation of 1 - V', so it stays exact where V' rounds to 1."""
-        if self.kind == RELU:
-            return 0.0 * self.q
+        """1 - V'/chi1, which is x g(b) / i0 (0 for relu); at a critical
+        init it is 1 - V'(q*) without the cancellation of 1 - V', so it
+        stays exact where V' rounds to 1."""
         return self.x * self.gb / self.i0

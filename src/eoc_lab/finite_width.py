@@ -16,9 +16,10 @@ the depth-independent envelope
     |q1_l| <= (sw2^2 / 2) |V''(q*)| |E[phi^4] - E[phi^2]^2|
               / ((1 - V')^2 (1 + V')),    l >= 3.
 
-The moments E[phi^2], E[phi^4] are taken at variance q* and evaluated by the
-same segment-analytic engine as the variance map, which also supplies
-1 - V' directly.
+The moments E[phi^2], E[phi^4] are taken at variance q* in units of q*
+(E[phi^4] alone would overflow above q* of about 1e154), by the same
+segment-analytic engine as the variance map, which also supplies 1 - V'
+directly; the bound and q1 are then scaled by q*, and r by q*^2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import maps
 from ._moments import _Kernel
 from .solver import EocInit
 
@@ -44,7 +44,7 @@ class NloState:
 
 
 def _innovation(k: _Kernel, sw2):
-    return sw2 * sw2 * (k.fourth - k.second * k.second)
+    return sw2 * sw2 * (k.fourth - np.square(k.second))
 
 
 def _envelope(k: _Kernel, sw2):
@@ -52,32 +52,30 @@ def _envelope(k: _Kernel, sw2):
     kernel at a critical q*; nan unless 0 < V' < 1, inf where it exceeds
     the float range.  1 - V' is the kernel's ``slope_gap``: where it is
     below the ulp of 1, V' itself rounds to 1 and 1 - V' would read 0."""
-    vp, gap = k.v_prime(sw2), k.slope_gap
+    u = k.unit()
+    vp, gap = u.v_prime(sw2), u.slope_gap
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = (
-            0.5 * np.abs(k.v_prime2(sw2)) * np.abs(_innovation(k, sw2))
+        bound = k.q * (
+            0.5 * np.abs(u.v_prime2(sw2)) * np.abs(_innovation(u, sw2))
             / (gap * gap * (1.0 + vp))
         )
     return np.where((vp > 0.0) & (gap > 0.0), bound, np.nan)
 
 
-def fourth_moment_innovation(init: EocInit) -> float:
-    """The constant injection term sw2^2 (E[phi^4] - E[phi^2]^2) at q*."""
-    return float(_innovation(_Kernel.at(init.spec, init.q_star), init.sw2))
-
-
 def nlo_trajectory(init: EocInit, depth: int) -> list[NloState]:
-    """Iterate the coupled recursions for ``depth`` layers from (q*, 0, 0)."""
+    """Iterate the coupled recursions for ``depth`` layers from (q*, 0, 0);
+    r reads inf where it exceeds the float range."""
     if depth < 1:
         raise ValueError("depth must be a positive integer")
+    q = init.q_star
+    u = _Kernel.at(init.spec, q).unit()
     vp = init.v_prime_at_fp
-    vpp = maps.v_prime2(init.spec, init.sw2, init.q_star)
-    inject = fourth_moment_innovation(init)
-    states = [NloState(layer=1, q=init.q_star, r=0.0, q1=0.0)]
+    vpp, inject = float(u.v_prime2(init.sw2)), float(_innovation(u, init.sw2))
+    states = [NloState(layer=1, q=q, r=0.0, q1=0.0)]
     r, q1 = 0.0, 0.0
     for layer in range(2, depth + 1):
         r, q1 = vp * vp * r + inject, vp * q1 + 0.5 * vpp * r
-        states.append(NloState(layer=layer, q=init.q_star, r=r, q1=q1))
+        states.append(NloState(layer=layer, q=q, r=r * q * q, q1=q1 * q))
     return states
 
 
@@ -100,6 +98,7 @@ def log_theorem1_bound(init: EocInit) -> float:
     bound = theorem1_bound(init)
     if math.isfinite(bound):
         return math.log(bound) if bound > 0.0 else -math.inf
-    k, sw2 = _Kernel.at(init.spec, init.q_star), init.sw2
-    return (math.log(0.5 * abs(k.v_prime2(sw2))) + math.log(abs(_innovation(k, sw2)))
-            - 2.0 * math.log(k.slope_gap) - math.log1p(k.v_prime(sw2)))
+    u, sw2 = _Kernel.at(init.spec, init.q_star).unit(), init.sw2
+    return (math.log(0.5 * abs(u.v_prime2(sw2))) + math.log(abs(_innovation(u, sw2)))
+            - 2.0 * math.log(u.slope_gap) - math.log1p(u.v_prime(sw2))
+            + math.log(init.q_star))

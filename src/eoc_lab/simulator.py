@@ -118,9 +118,12 @@ def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.matrix_rank`` applies to a symmetric matrix, lam > lam_max
     rows eps: the directions it drops carry round-off, not variance, so
     duplicate rows, a dead layer (a = 0 keeps nothing) and more rows than
-    columns need no special case.
+    columns need no special case.  Each eigenvector's largest-magnitude
+    entry is made positive: eigh's signs flip under last-bit changes of
+    the Gram matrix, which would make a rescaled run another draw.
     """
     lam, u = np.linalg.eigh(a @ a.T)
+    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(lam.size)])
     keep = lam > lam[-1] * lam.size * _EPS
     root = np.sqrt(np.where(keep, lam, 1.0))
     return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)

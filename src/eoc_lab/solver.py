@@ -262,8 +262,6 @@ def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> Eoc
         raise InfeasibleTargetError(
             "relu has V'(q*) = chi1(q*) = 1 identically; use relu_init(q_star)"
         )
-    if kind not in (CRELU, CST):
-        raise ValueError(f"unknown activation kind {kind!r}")
     if not 0.0 < v_prime_target < 1.0:
         raise ValueError(f"slope target must lie in (0, 1), got {v_prime_target}")
     tau = sparsity_threshold(kind, s, q_star)
@@ -284,8 +282,6 @@ def init_from_m(kind: str, s: float, q_star: float, m: float) -> EocInit:
             "init_from_m takes the clipped families crelu and cst only; "
             "relu has no clip level, use relu_init(q_star)"
         )
-    if kind not in (CRELU, CST):
-        raise ValueError(f"unknown activation kind {kind!r}")
     tau = sparsity_threshold(kind, s, q_star)
     spec = ActivationSpec(kind, tau, m)
     return _finish_init(spec, s, q_star)
@@ -297,11 +293,7 @@ def relu_init(q_star: float) -> EocInit:
     V(q) = q holds identically, so every variance is a (marginal) fixed
     point and the stored q* only anchors input scaling downstream.
     """
-    init = EocInit(
-        spec=ActivationSpec(RELU), q_star=q_star, sw2=2.0, sb2=0.0, s=0.5, v_prime_at_fp=1.0
-    )
-    validate_init(init)
-    return init
+    return _finish_init(ActivationSpec(RELU), 0.5, q_star)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The quadrature routes evaluate the defining integrals directly, with the
 library's normal CDF and domain checks but none of its closed-form kernel,
 and are slower and (for the tensor rule) coarser than the closed forms.
 The dense samplers draw explicit weight matrices.  The lemma closed forms sum the
-finite-width recursions geometrically, and ``iterated_correlation`` is the
+finite-width recursions geometrically from the injection term
+``fourth_moment_innovation``, and ``iterated_correlation`` is the
 infinite-width correlation trajectory the simulator is checked against.
 ``write_csv_rowwise`` is the row-at-a-time CSV writer the CLI's streamed
 one is held to, byte for byte.
@@ -15,8 +16,9 @@ import math
 
 import numpy as np
 
+from eoc_lab._moments import _Kernel
 from eoc_lab.activations import CRELU, RELU
-from eoc_lab.finite_width import fourth_moment_innovation
+from eoc_lab.finite_width import _innovation
 from eoc_lab.gaussian import _check_q, normal_cdf
 from eoc_lab.maps import v_prime2
 from eoc_lab.simulator import _check_rho
@@ -225,6 +227,11 @@ def _check_slope(init):
     if abs(vp - 1.0) < 1e-12:
         raise DegenerateSlopeError("V'(q*) = 1; geometric closed form is singular")
     return vp
+
+
+def fourth_moment_innovation(init):
+    """The constant injection term sw2^2 (E[phi^4] - E[phi^2]^2) at q*."""
+    return float(_innovation(_Kernel.at(init.spec, init.q_star), init.sw2))
 
 
 def lemma_r_closed_form(init, layer):

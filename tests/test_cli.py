@@ -425,6 +425,22 @@ class TestNlo:
         assert doc["log_bound"] == pytest.approx(722.2245961562998, rel=1e-13)
         assert {row["bound"] for row in read_csv(out)} == {"inf"}
 
+    def test_huge_q_star_runs_without_warning(self, tmp_path):
+        """The bound at q* = 1e200 is 1.9e199: it is computed in units of q*,
+        and only r, which scales like q*^2, reads inf."""
+        out = tmp_path / "big.csv"
+        proc = subprocess.run(
+            [*SOLVE[:1], "-W", "error::RuntimeWarning", *SOLVE[1:], "nlo", "--activation",
+             "crelu", "-s", "0.85", "--qstar", "1e200", "--vprime", "0.7", "--depth", "5",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+        assert doc["bound"] == pytest.approx(0.188270379027554e200, rel=1e-12)
+        assert [row["r"] for row in read_csv(out)] == ["0.0"] + ["inf"] * 4
+
 
 class TestSimulateAndCorrelate:
     def test_simulate_csv_schema(self, tmp_path):

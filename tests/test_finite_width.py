@@ -9,16 +9,11 @@ import pytest
 from mpmath import mp
 
 from eoc_lab._moments import _Kernel
-from eoc_lab.finite_width import (
-    fourth_moment_innovation,
-    log_theorem1_bound,
-    nlo_trajectory,
-    theorem1_bound,
-)
+from eoc_lab.finite_width import log_theorem1_bound, nlo_trajectory, theorem1_bound
 from eoc_lab.maps import v_prime2
 from eoc_lab.solver import init_from_m, relu_init, solve_init
 
-from oracles import lemma_q1_closed_form, lemma_r_closed_form
+from oracles import fourth_moment_innovation, lemma_q1_closed_form, lemma_r_closed_form
 
 
 def random_valid_inits(n, seed):
@@ -151,6 +146,39 @@ class TestEnvelope:
     def test_precondition(self):
         with pytest.raises(ValueError):
             theorem1_bound(relu_init(1.0))
+
+
+class TestScaleOfQStar:
+    """The bound and q1 scale like q* and r like q*^2, though E[phi^4] and
+    E[phi^2]^2 leave the float range above q* of about 1e154 and below
+    about 1e-154."""
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_bound_and_trajectory_in_units_of_q_star(self, kind):
+        one = solve_init(kind, 0.85, 1.0, 0.7)
+        bound = theorem1_bound(one)
+        states = nlo_trajectory(one, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in 10.0 ** np.arange(-300, 301, 25):
+                init = solve_init(kind, 0.85, float(q), 0.7)
+                assert abs(theorem1_bound(init) / q / bound - 1) <= 1e-12, q
+                for st, ref in zip(nlo_trajectory(init, 12)[2:], states[2:]):
+                    assert abs(st.q1 / q / ref.q1 - 1) <= 1e-12, q
+                    if 1e-100 <= q <= 1e100:
+                        assert abs(st.r / (q * q) / ref.r - 1) <= 1e-12, q
+
+    def test_r_overflows_alone(self):
+        """At q* = 1e200, r ~ q*^2 exceeds the float range and reads inf;
+        q1 and the bound do not."""
+        init = solve_init("crelu", 0.85, 1e200, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = nlo_trajectory(init, 5)
+            bound = theorem1_bound(init)
+        assert [st.r for st in states[1:]] == [math.inf] * 4
+        assert all(math.isfinite(st.q1) for st in states)
+        assert math.isfinite(bound)
 
 
 def _mp_cst_moment(tau, m, q, k):

@@ -3,11 +3,13 @@ two-input correlation map."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eoc_lab._moments import _Kernel
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.maps import chi1, chi1_prime, diagnostics, v_map, v_prime, v_prime2
 from eoc_lab.solver import init_from_m, solve_init
@@ -250,6 +252,44 @@ class TestCorrelationMap:
             shifted = [k - mu for k in kinks(spec)]
             quad = gauss_expect(lambda z: spec.evaluate(mu + z), sigma * sigma, shifted)
             assert first_moment_shifted(spec, mu, sigma) == pytest.approx(quad, abs=1e-12, rel=0)
+
+
+# q from the bottom to the top of the float range
+FLOAT_RANGE_Q = (1e-300, 1e-150, 1e-12, 0.3, 1.0, 3.7, 1e6, 1e150, 1e300)
+
+
+class TestReluLimit:
+    """relu is crelu at tau = 0, m = inf: the kernel's clip terms vanish and
+    its closed forms are relu's exact ones at every q."""
+
+    @pytest.mark.parametrize("q", [*FLOAT_RANGE_Q, np.array(FLOAT_RANGE_Q)],
+                             ids=[*map(repr, FLOAT_RANGE_Q), "array"])
+    def test_exact_closed_forms(self, q):
+        k = _Kernel.at(ActivationSpec("relu"), q)
+        sw2 = 2.0
+        with np.errstate(over="ignore"):
+            fourth, expected = np.asarray(k.fourth), np.asarray(1.5 * np.square(q))
+        assert np.array_equal(k.second, 0.5 * np.asarray(q))
+        assert np.all(k.linear == 0.5)
+        assert np.all(k.v_prime(sw2) == 0.5 * sw2)
+        for value in (k.chi1_prime(sw2), k.v_prime2(sw2), k.slope_gap):
+            assert np.shape(value) == np.shape(q)
+            assert np.all(value == 0.0)
+        fourth, expected = fourth[np.isfinite(expected)], expected[np.isfinite(expected)]
+        assert np.all(np.abs(fourth - expected) <= np.spacing(expected))
+
+
+class TestFloatRange:
+    def test_curvature_at_the_top_of_the_float_range(self):
+        """chi1' and V'' scale like 1/q*: at q* = 1e308, where 2 q* would
+        overflow, q* times each is its value at q* = 1."""
+        one = solve_init("crelu", 0.85, 1.0, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            top = solve_init("crelu", 0.85, 1e308, 0.7)
+            for f in (v_prime2, chi1_prime):
+                scaled = f(top.spec, top.sw2, 1e308) * 1e308
+                assert scaled == pytest.approx(f(one.spec, one.sw2, 1.0), rel=1e-12)
 
 
 class TestSensitivityAcrossFixedPoints:

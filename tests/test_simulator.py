@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,8 +331,8 @@ class TestBackwardState:
         """A run at q* = 2^-400 or 2^400 is the run at q* = 1 with lengths
         scaled by a power of two, so q_hat / q*, sparsity and v_hat agree.
         Further out LAPACK's eigh rescales the Gram matrix by a factor that
-        is not a power of two, and its eigenvector signs may then flip: a
-        different draw of the same law, not a scaled one."""
+        is not a power of two, and the backward pass amplifies the last-bit
+        differences that leaves (the forward check is the next test)."""
         base = solve_init(kind, 0.85, 1.0, 0.7)
         ref = run_backward(SimConfig(init=base, depth=8, width=64, batch=8, seed=11))
         for c in (2.0 ** -200, 2.0 ** 200):
@@ -341,6 +342,28 @@ class TestBackwardState:
                 assert st.q_hat / init.q_star == pytest.approx(st_ref.q_hat, rel=1e-12)
                 assert st.sparsity_hat == st_ref.sparsity_hat
                 assert st.v_hat == pytest.approx(st_ref.v_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_forward_and_correlate_are_scale_invariant_far_out(self, kind):
+        """At q* = 1e-150 and 1e150 eigh's eigenvectors differ from the
+        q* = 1 ones in their last bits, and their signs would flip under
+        that: with the sign convention the run is still the scaled q* = 1
+        run, at every seed.  Without it 26 of these 120 runs were another
+        draw, up to 0.43 off in q_hat / q* and 0.018 in rho_hat."""
+        base = solve_init(kind, 0.85, 1.0, 0.7)
+        for seed in range(30):
+            config = SimConfig(init=base, depth=8, width=64, batch=8, seed=seed)
+            ref_fwd, ref_cor = run_forward(config), run_correlation(config, 0.5)
+            for c in (1e-75, 1e75):
+                init = scaled_lengths(base, c)
+                scaled = replace(config, init=init)
+                for run, ref in ((run_forward(scaled), ref_fwd),
+                                 (run_correlation(scaled, 0.5), ref_cor)):
+                    for st, st_ref in zip(run, ref):
+                        assert st.q_hat / init.q_star == pytest.approx(st_ref.q_hat, rel=1e-11)
+                        assert st.sparsity_hat == st_ref.sparsity_hat
+                        if st.rho_hat is not None:
+                            assert st.rho_hat == pytest.approx(st_ref.rho_hat, abs=1e-10)
 
     @pytest.mark.parametrize("q_scale", [1e-150, 1e150])
     def test_pull_down_does_not_overflow(self, q_scale):

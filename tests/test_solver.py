@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from eoc_lab.activations import ActivationSpec
 from eoc_lab.gaussian import normal_quantile
 from eoc_lab.maps import chi1, v_map, v_prime, v_prime2
 from eoc_lab.solver import (
@@ -235,6 +236,11 @@ class TestReluInit:
         init = relu_init(3.0)
         assert init.sw2 == 2.0 and init.sb2 == 0.0 and init.s == 0.5
         assert chi1(init.spec, init.sw2, 3.0) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "q", [1e-300, 1e-150, 1e-12, 0.3, 1.0, 3.7, 1e6, 1e150, 1e300])
+    def test_exact_across_the_float_range(self, q):
+        assert relu_init(q) == EocInit(ActivationSpec("relu"), q, 2.0, 0.0, 0.5, 1.0)
 
 
 class TestFixedPoints:
