@@ -61,38 +61,51 @@ class ActivationSpec:
             return
         _check_shape(self.tau, self.m)
 
-    def evaluate(self, x):
-        """Pointwise activation value; accepts scalars or arrays."""
+    def evaluate(self, x, out=None):
+        """Pointwise activation value; accepts scalars or arrays.
+
+        ``out``, a float array of x's shape, receives the values when given.
+        """
         x = np.asarray(x, dtype=float)
         # one buffer, filled in place: on a batch x width array the
         # temporaries of the plain expressions cost more than the
-        # arithmetic, and the operations and their order are unchanged
-        out = np.empty_like(x)
+        # arithmetic, and the operations and their order are unchanged.
+        # ndarray.clip calls the clip ufunc without np.clip's dispatch; the
+        # maximum and minimum ufuncs would not keep its signed zeros
+        if out is None:
+            out = np.empty_like(x)
         if self.kind == RELU:
             np.maximum(x, 0.0, out=out)
         elif self.kind == CRELU:
             np.subtract(x, self.tau, out=out)
-            np.clip(out, 0.0, self.m, out=out)
+            out.clip(0.0, self.m, out=out)
         else:
             np.abs(x, out=out)
             out -= self.tau
-            np.clip(out, 0.0, self.m, out=out)
+            out.clip(0.0, self.m, out=out)
             np.multiply(np.sign(x), out, out=out)
         return out if out.ndim else float(out)
 
-    def derivative(self, x):
-        """Pointwise derivative, an indicator of the open linear segments.
+    def segment_mask(self, x, out=None):
+        """Boolean indicator of the open linear segments, False at the kink
+        points (and at the origin for relu); accepts scalars or arrays.
 
-        Returns 0 at the kink points (and at the origin for relu).
+        A product with the mask has the bits of the product with
+        :meth:`derivative`, whose values are exactly 0.0 and 1.0.
+        ``out``, a boolean array of x's shape, receives the mask when given.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == RELU:
-            out = (x > 0.0).astype(float)
-        elif self.kind == CRELU:
-            out = ((x > self.tau) & (x < self.tau + self.m)).astype(float)
-        else:
-            ax = np.abs(x)
-            out = ((ax > self.tau) & (ax < self.tau + self.m)).astype(float)
+            return np.greater(x, 0.0, out=out)
+        if self.kind == CST:
+            x = np.abs(x)
+        mask = np.greater(x, self.tau, out=out)
+        mask &= x < self.tau + self.m
+        return mask
+
+    def derivative(self, x):
+        """Pointwise derivative: the float cast of :meth:`segment_mask`."""
+        out = self.segment_mask(x).astype(float)
         return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:

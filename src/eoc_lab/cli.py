@@ -27,6 +27,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 
@@ -345,9 +346,21 @@ def _cmd_jacobian(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(*paths) -> None:
+    """Open each given output path for writing, so that one that cannot be
+    written fails before any work; a file this creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_train(args) -> int:
     _require(args, ["depth", "width", "epochs", "lr", "batch"])
     config = _run_config(trainer.TrainConfig, args)
+    _check_writable(args.out, args.log_csv)
     report = trainer.train(config)
     if args.log_csv:
         trainer.write_training_log(report, args.log_csv)

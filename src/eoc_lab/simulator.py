@@ -226,7 +226,7 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
             _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
             _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
         )
-        delta = scale * theta_delta[:n].T * init.spec.derivative(h_below)
+        delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
         v_hat.append(float(np.mean(delta * delta)))
 
     return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]

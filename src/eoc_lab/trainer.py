@@ -163,71 +163,142 @@ def train_val_test_split(x, y, seed):
 # model
 # --------------------------------------------------------------------------
 
+class _Layers(list):
+    """Per-layer (W, b) pairs, each a view into one contiguous float64
+    buffer, ``flat``: layer 1's W then b, layer 2's W then b, and so on.
+
+    An SGD update is then two calls on ``flat`` whatever the depth.  The
+    layers between the first and the last all map width to width, so
+    their W and b sit one fixed stride apart: ``hidden_w`` and
+    ``hidden_b`` view them as one (depth - 2, width, width) and one
+    (depth - 2, width) array.
+    """
+
+    def __init__(self, sizes):
+        super().__init__()
+        shapes = list(zip(sizes[1:], sizes))  # (fan_out, fan_in) per layer
+        self.flat = np.empty(sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes))
+        offset = 0
+        for fan_out, fan_in in shapes:
+            w = self.flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
+            offset += w.size
+            self.append((w, self.flat[offset : offset + fan_out]))
+            offset += fan_out
+        width, count, first = sizes[1], len(sizes) - 3, sizes[1] * (sizes[0] + 1)
+        blocks = self.flat[first : first + count * width * (width + 1)]
+        blocks = blocks.reshape(count, width * (width + 1))
+        self.hidden_w = blocks[:, : width * width].reshape(count, width, width)
+        self.hidden_b = blocks[:, width * width :]
+
+
+class _Workspace:
+    """The arrays one step of :func:`loss_and_grads` writes, allocated once
+    per training run.
+
+    ``grads`` is a ``_Layers`` like the parameters.  ``h``, ``a`` and
+    ``mask`` hold every hidden layer's pre-activations, activations and
+    segment mask, each as one (depth - 1, rows, width) array; a batch of
+    n rows uses the first n.  Once the masks are taken, ``h`` holds the
+    backpropagated errors.
+    """
+
+    def __init__(self, params, rows: int):
+        self.grads = _Layers([params[0][0].shape[1]] + [w.shape[0] for w, _ in params])
+        shape = (len(params) - 1, rows, params[0][0].shape[0])
+        self.h, self.a = np.empty(shape), np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+
+
 def init_params(config: TrainConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw (W, b) per layer exactly per the initialisation record."""
+    """Draw (W, b) per layer exactly per the initialisation record.
+
+    The pairs are views into one buffer (see ``_Layers``).
+    """
     init = config.init
     sizes = [config.input_dim] + [config.width] * (config.depth - 1) + [config.n_classes]
-    params = []
-    for layer in range(1, config.depth + 1):
-        fan_in, fan_out = sizes[layer - 1], sizes[layer]
+    params = _Layers(sizes)
+    for layer, (w, b) in enumerate(params, start=1):
+        fan_in = w.shape[1]
         rng = _philox(config.seed, 2000 + layer)
         if layer == 1:
-            w = rng.normal(0.0, math.sqrt(1.0 / fan_in), size=(fan_out, fan_in))
-            b = np.zeros(fan_out)
+            w[...] = rng.normal(0.0, math.sqrt(1.0 / fan_in), size=w.shape)
+            b[...] = 0.0
         else:
-            w = rng.normal(0.0, math.sqrt(init.sw2 / fan_in), size=(fan_out, fan_in))
-            b = rng.normal(0.0, math.sqrt(init.sb2), size=fan_out)
-        params.append((w, b))
+            w[...] = rng.normal(0.0, math.sqrt(init.sw2 / fan_in), size=w.shape)
+            b[...] = rng.normal(0.0, math.sqrt(init.sb2), size=b.shape)
     return params
 
 
-def forward(params, spec, x):
+def forward(params, spec, x, out=None):
     """Pre-activations and activations for every layer; logits last.
 
     The activation applies to every pre-activation except the final one,
-    which is the logits layer.
+    which is the logits layer.  The hidden layers' pre-activations and
+    activations are slices of two (depth - 1, len(x), width) arrays: the
+    pair ``out`` when it is given, fresh ones otherwise.
     """
-    depth = len(params)
-    h_list, a_list = [], []
+    if out is None:
+        shape = (len(params) - 1, len(x), params[0][0].shape[0])
+        out = np.empty(shape), np.empty(shape)
+    hs, acts = out
     a = x
     # a diverging run legitimately produces inf/nan on its way to the
     # divergence flag; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer, (w, b) in enumerate(params, start=1):
-            h = a @ w.T + b
-            a = h if layer == depth else spec.evaluate(h)
-            h_list.append(h)
-            a_list.append(a)
-    return h_list, a_list
+        for (w, b), h, act in zip(params, hs, acts):
+            # in place: the sum is that of a @ w.T + b, bit for bit
+            np.matmul(a, w.T, out=h)
+            h += b
+            a = spec.evaluate(h, out=act)
+        w, b = params[-1]
+        logits = a @ w.T
+        logits += b
+    return [*hs, logits], [*acts, logits]
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def loss_and_grads(params, spec, x, y, out=None):
+    """Cross-entropy and its analytic gradients for one minibatch.
 
-
-def loss_and_grads(params, spec, x, y):
-    """Cross-entropy and its analytic gradients for one minibatch."""
-    depth = len(params)
-    h_list, a_list = forward(params, spec, x)
-    logits = h_list[-1]
+    The gradients are (dW, db) pairs laid out as ``_Layers``.  ``out``, a
+    ``_Workspace`` for ``params`` of at least len(x) rows, takes every
+    array the step writes; without it they are allocated for this call.
+    """
     n = len(y)
+    work = _Workspace(params, n) if out is None else out
+    grads = work.grads
+    hs, acts, masks = work.h[:, :n], work.a[:, :n], work.mask[:, :n]
+    h_list, _ = forward(params, spec, x, out=(hs, acts))
+    rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _softmax(logits)
-        loss = float(-np.mean(np.log(p[np.arange(n), y] + 1e-300)))
+        # the softmax, in place in the logits, which nothing below reads
+        p = h_list[-1]
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        loss = float(-np.mean(np.log(p[rows, y] + 1e-300)))
 
-        delta = p.copy()
-        delta[np.arange(n), y] -= 1.0
+        delta = p
+        delta[rows, y] -= 1.0
         delta /= n
 
-        grads = [None] * depth
-        for layer in range(depth, 0, -1):
-            w, _ = params[layer - 1]
-            a_prev = x if layer == 1 else a_list[layer - 2]
-            grads[layer - 1] = (delta.T @ a_prev, delta.sum(axis=0))
-            if layer > 1:
-                delta = (delta @ w) * spec.derivative(h_list[layer - 2])
+        gw, gb = grads[-1]
+        np.matmul(delta.T, acts[-1], out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
+        # the error below each layer, down to the first: (delta @ W) times
+        # the segment mask of the pre-activations there, which are spent
+        # once the masks are taken, so their array takes the errors
+        spec.segment_mask(hs, out=masks)
+        deltas = hs
+        for (w, _), below, mask in zip(reversed(params[1:]), deltas[::-1], masks[::-1]):
+            delta = np.matmul(delta, w, out=below)
+            delta *= mask
+        # the weight gradients of every layer between the first and the
+        # last in one call each: slice by slice the products and sums above
+        np.matmul(deltas[1:].transpose(0, 2, 1), acts[:-1], out=grads.hidden_w)
+        np.add.reduce(deltas[1:], axis=1, out=grads.hidden_b)
+        gw, gb = grads[0]
+        np.matmul(delta.T, x, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
     return loss, grads
 
 
@@ -293,6 +364,7 @@ def train(config: TrainConfig) -> TrainReport:
     report = TrainReport()
     report.steps_per_epoch = max(1, math.ceil(len(x_tr) / config.batch))
     report.sparsity_at_init = observed_sparsity(params, spec, x_tr)
+    work = _Workspace(params, config.batch)
 
     shuffle_rng = _philox(config.seed, 3000)
     step = 0
@@ -301,7 +373,7 @@ def train(config: TrainConfig) -> TrainReport:
         epoch_losses = []
         for start in range(0, len(x_tr), config.batch):
             idx = order[start : start + config.batch]
-            loss, grads = loss_and_grads(params, spec, x_tr[idx], y_tr[idx])
+            loss, grads = loss_and_grads(params, spec, x_tr[idx], y_tr[idx], out=work)
             step += 1
             report.step_log.append((epoch, step, loss))
             if not math.isfinite(loss):
@@ -311,17 +383,17 @@ def train(config: TrainConfig) -> TrainReport:
                 report.sparsity_final = observed_sparsity(params, spec, x_tr)
                 return report
             epoch_losses.append(loss)
-            # in place: the gradients are fresh arrays, and the products
-            # and differences are those of w - lr * gw, bit for bit
-            for (w, b), (gw, gb) in zip(params, grads):
-                gw *= config.lr
-                w -= gw
-                gb *= config.lr
-                b -= gb
+            # the elementwise products and differences of w - lr * gw,
+            # bit for bit, on every layer's parameters at once
+            grads.flat *= config.lr
+            params.flat -= grads.flat
         report.train_losses.append(float(np.mean(epoch_losses)))
         report.val_accuracies.append(_accuracy(params, spec, x_val, y_val))
         report.epochs_run = epoch
 
+    # the step's arrays are let go before the passes over whole splits,
+    # the largest arrays of a run
+    del work, grads
     report.test_accuracy = _accuracy(params, spec, x_te, y_te)
     report.sparsity_final = observed_sparsity(params, spec, x_tr)
     return report

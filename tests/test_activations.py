@@ -10,6 +10,29 @@ from eoc_lab.solver import sparsity_threshold
 from oracles import kinks
 
 
+SPECS = [ActivationSpec("relu"), ActivationSpec("crelu", 0.8, 1.4),
+         ActivationSpec("crelu", 0.0, 2.0), ActivationSpec("cst", 0.6, 0.9),
+         ActivationSpec("cst", 0.0, 1.5)]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.tau}"
+
+
+def _with_special_points(spec, rng):
+    """4000 normal draws plus the kinks, their negatives, signed zeros,
+    infinities and nan, shuffled."""
+    special = [*kinks(spec), *(-k for k in kinks(spec)), 0.0, -0.0,
+               np.inf, -np.inf, np.nan, -np.nan]
+    x = np.concatenate([rng.normal(0.0, 2.0, size=4000), special])
+    rng.shuffle(x)
+    return x
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
 class TestPiecewiseValues:
     def test_clipped_relu_below_threshold(self):
         assert ActivationSpec("crelu", 1.0, 1.0).evaluate(0.5) == 0.0
@@ -53,8 +76,46 @@ class TestPiecewiseValues:
         assert np.array_equal(out.view(np.uint64), plain.view(np.uint64))
         assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_given_buffer_gets_the_fresh_bits(self, spec, rng):
+        """``evaluate`` and ``segment_mask`` write into a given ``out``
+        what they return fresh, and return it."""
+        x = _with_special_points(spec, rng)
+        values, mask = np.empty_like(x), np.empty(x.shape, dtype=bool)
+        assert spec.evaluate(x, out=values) is values
+        assert _same_bits(values, spec.evaluate(x))
+        assert spec.segment_mask(x, out=mask) is mask
+        assert np.array_equal(mask, spec.segment_mask(x))
+
 
 class TestDerivative:
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_segment_mask_products_are_bitwise_the_derivative_products(self, spec, rng):
+        """``derivative`` keeps the bits of the plain indicator expression,
+        and a product with the boolean ``segment_mask``, fresh or in place,
+        keeps the bits of the product with ``derivative``: on the kinks,
+        signed zeros, infinities and nan of x, and with the signed zeros,
+        infinities and nan of the factor too."""
+        x = _with_special_points(spec, rng)
+        delta = _with_special_points(spec, rng)
+        if spec.kind == "relu":
+            plain = (x > 0.0).astype(float)
+        else:
+            ax = x if spec.kind == "crelu" else np.abs(x)
+            plain = ((ax > spec.tau) & (ax < spec.tau + spec.m)).astype(float)
+        derivative = spec.derivative(x)
+        assert _same_bits(derivative, plain)
+
+        mask = spec.segment_mask(x)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, plain == 1.0)
+        with np.errstate(invalid="ignore"):
+            expected = delta * derivative
+            in_place = delta.copy()
+            in_place *= mask
+            assert _same_bits(delta * mask, expected)
+        assert _same_bits(in_place, expected)
+
     def test_linear_segment(self):
         spec = ActivationSpec("crelu", 1.0, 1.0)
         assert spec.derivative(1.5) == 1.0

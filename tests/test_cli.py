@@ -605,6 +605,20 @@ class TestTrainCommand:
         assert doc["report"]["diverged"] is True
         assert doc["report"]["train_losses"][-1] is None
 
+    @pytest.mark.parametrize("bad", ["out", "log_csv"])
+    def test_unwritable_output_fails_before_the_first_step(self, tmp_path, monkeypatch,
+                                                            capsys, bad):
+        """An output path that cannot be written exits 1 with a message
+        naming it, before any training, and leaves no file behind."""
+        monkeypatch.setattr(cli.trainer, "train", lambda config: pytest.fail("trained"))
+        paths = {"out": tmp_path / "r.json", "log_csv": tmp_path / "l.csv"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        rc = cli.main(["train", "--activation", "relu", "--qstar", "1", "--depth", "6",
+                       "--width", "16", "--epochs", "3", "--lr", "0.1", "--batch", "16",
+                       "--out", str(paths["out"]), "--log-csv", str(paths["log_csv"])])
+        assert rc == 1
+        assert str(paths[bad]) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, lr):

@@ -1,10 +1,12 @@
 """Tests of the desk-scale MLP trainer."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from eoc_lab import cli
 from eoc_lab.solver import solve_init
 from eoc_lab.trainer import (
     TrainConfig,
@@ -227,3 +229,78 @@ class TestTraining:
             params, config.init.spec, normalize_inputs(x, config.init.q_star)
         )
         assert sp == pytest.approx(config.init.s, abs=0.03)
+
+
+_SMALL = ["--depth", "6", "--width", "16", "--epochs", "3", "--batch", "16", "--seed", "7",
+          "--n-samples", "128", "--input-dim", "8", "--n-classes", "3"]
+
+# sha256 of the JSON report and of the --log-csv file, in that order,
+# recorded from the trainer before its step was rewritten in place over one
+# parameter buffer (x86-64, numpy 2.4 with OpenBLAS)
+_GOLDEN = {
+    "crelu": (
+        ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7",
+         "--lr", "0.1", *_SMALL],
+        "a868e13d5f9c23477dbda23dbdcea8371159e534b9fa01fcacd86f99ef17f2e4",
+        "a293386645512f0a2fbb51df238308ac6090f53664f48c9cd26a22b412dd7ebb",
+    ),
+    "cst": (
+        ["--activation", "cst", "-s", "0.7", "--qstar", "1", "--vprime", "0.7",
+         "--lr", "0.1", *_SMALL],
+        "79fdc4a88a7e02dd548b8fe916767c6c9776ea31b8002d4f2c17e4c05645a1fe",
+        "c2a12f83d134ebac6c119a751f0cdfe8b420dfe2e2954c9fbb9b1523ccb7a8a9",
+    ),
+    "relu": (
+        ["--activation", "relu", "--qstar", "1", "--lr", "0.1", *_SMALL],
+        "bb9033035bfabc204cc9d80bfcdba471fa21c61a83fe931d7a785887cd66902c",
+        "2418020a64d1b0b800005f7667d5c0813dbb8b8c53c37e35b9c063a4b682896c",
+    ),
+    # the diverging run of the CI step, which exits 3
+    "relu-diverged": (
+        ["--activation", "relu", "--qstar", "1", "--lr", "1e6", *_SMALL],
+        "9e7f082924681dd60ed636023363d9fe25a47498d3ae7d69c600bb13cf655b33",
+        "5fdcb58e747317743c56dfedde3bc880ed20946bfff2103f52157a513e18d4aa",
+    ),
+    # the train-demo benchmark's shape: depth 30, width 64, batch 32
+    "crelu-deep": (
+        ["--activation", "crelu", "-s", "0.85", "--qstar", "3", "--vprime", "0.7",
+         "--depth", "30", "--width", "64", "--epochs", "5", "--lr", "0.002", "--batch", "32",
+         "--seed", "11", "--n-samples", "1000"],
+        "6b2d8c4b26ddd81114611a6e3a78622746d90d0be6717d57167781f7b7eab8e6",
+        "d8140009f10230fbef893aa06cd63a7afc831615b1a9092ba987e1dc99c242ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_train_output_bytes_are_golden(tmp_path, case):
+    """``train``'s JSON report and step log are byte for byte those of the
+    plain per-array trainer: any change to the step that moves one bit of
+    one loss shows here."""
+    flags, report_sha, log_sha = _GOLDEN[case]
+    out, log = tmp_path / "report.json", tmp_path / "log.csv"
+    rc = cli.main(["train", "--dataset", "synthetic-blobs", *flags,
+                   "--out", str(out), "--log-csv", str(log)])
+    assert rc == (3 if case == "relu-diverged" else 0)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == report_sha
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_sha
+
+
+def test_parameters_and_gradients_share_one_buffer_each():
+    """Every (W, b) is a view into the buffer the SGD update runs over,
+    the gradients come back in the same layout, and the stacked views of
+    the layers between the first and the last are those layers' own."""
+    config = small_config(depth=4)
+    params = init_params(config)
+    x, y = make_blobs(config.seed, 16, config.input_dim, config.n_classes)
+    _, grads = loss_and_grads(params, config.init.spec, x, y)
+    assert [(w.shape, b.shape) for w, b in params] == [(w.shape, b.shape) for w, b in grads]
+    for layers in (params, grads):
+        assert layers.flat.size == sum(w.size + b.size for w, b in layers)
+        for w, b in layers:
+            assert np.shares_memory(w, layers.flat) and np.shares_memory(b, layers.flat)
+        layers.flat[:] = 0.0
+        layers.hidden_w[...] = 1.0
+        layers.hidden_b[...] = 2.0
+        assert [(float(w.sum()), float(b.sum())) for w, b in layers] == [
+            (0.0, 0.0), (25.0, 10.0), (25.0, 10.0), (0.0, 0.0)]
