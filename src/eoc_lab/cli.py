@@ -112,6 +112,17 @@ def _publish(args, doc: dict, table=None) -> None:
     _emit_json({"schema_version": SCHEMA_VERSION, "command": args.command, **doc, "out": args.out})
 
 
+def _check_writable(*paths) -> None:
+    """Open each given output path for writing, so that one that cannot be
+    written fails before any work; a file this creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 # --------------------------------------------------------------------------
 # shared flags
 # --------------------------------------------------------------------------
@@ -346,24 +357,13 @@ def _cmd_jacobian(args) -> int:
     return EXIT_OK
 
 
-def _check_writable(*paths) -> None:
-    """Open each given output path for writing, so that one that cannot be
-    written fails before any work; a file this creates is removed again."""
-    for path in filter(None, paths):
-        existed = os.path.exists(path)
-        with open(path, "a"):
-            pass
-        if not existed:
-            os.remove(path)
-
-
 def _cmd_train(args) -> int:
     _require(args, ["depth", "width", "epochs", "lr", "batch"])
     config = _run_config(trainer.TrainConfig, args)
-    _check_writable(args.out, args.log_csv)
     report = trainer.train(config)
     if args.log_csv:
-        trainer.write_training_log(report, args.log_csv)
+        rows = [tuple(map(_fmt, row)) for row in report.log_rows()]
+        _write_csv(args.log_csv, trainer.LOG_COLUMNS, rows)
     _publish(args, {"config": config.to_dict(), "report": report.to_dict()})
     return EXIT_DIVERGED if report.diverged else EXIT_OK
 
@@ -503,6 +503,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _apply_config_defaults(parser, args, argv)
+        _check_writable(args.out, getattr(args, "log_csv", None))
         return args.func(args)
     except InfeasibleTargetError as exc:
         error = {"type": "infeasible_target", "message": str(exc)}

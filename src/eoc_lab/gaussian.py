@@ -17,11 +17,13 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _STANDARD_NORMAL = NormalDist()
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_q(q):
-    """A variance, or an array of them; each must be positive and finite.
+    """A variance, or an array of them; each must be positive, finite and
+    normal (a subnormal q has fewer significant bits, and 1/q can overflow).
 
     Returns a float for scalar input and a float array otherwise.
     """
@@ -29,6 +31,10 @@ def _check_q(q):
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if bad.any():
         raise ValueError(f"variance must be positive and finite, got {arr[bad].flat[0]}")
+    low = arr < _SMALLEST_NORMAL
+    if low.any():
+        smallest = f"the smallest normal float {_SMALLEST_NORMAL!r}"
+        raise ValueError(f"variance must be at least {smallest}, got {arr[low].flat[0]}")
     return arr if arr.ndim else float(arr)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import maps
 from ._moments import _Kernel, _value
 from .activations import CRELU, CST, RELU, ActivationSpec
-from .gaussian import _check_q, erf_inv, normal_quantile
+from .gaussian import _SMALLEST_NORMAL, _check_q, erf_inv, normal_quantile
 
 # bracket of the clip level in units of sqrt(q*), x = m / sqrt(q*)
 X_BRACKET = (1e-4, 50.0)
@@ -333,8 +333,11 @@ def find_fixed_points(
     """
     lo = init.q_star / 20.0 if lo is None else float(lo)
     hi = init.q_star * 20.0 if hi is None else float(hi)
-    if not (0.0 < lo < init.q_star < hi):
-        raise ValueError("need 0 < lo < q* < hi")
+    if not (_SMALLEST_NORMAL <= lo < init.q_star < hi):
+        raise ValueError(
+            f"need {_SMALLEST_NORMAL!r} (the smallest normal float) <= lo < q* < hi,"
+            f" got --lo {lo!r} (q*/20 by default), q* {init.q_star!r}, --hi {hi!r}"
+        )
     if not math.isfinite(hi):
         raise ValueError(f"hi must be finite, got {hi}")
 

@@ -35,6 +35,7 @@ from .solver import EocInit
 SYNTHETIC_BLOBS = "synthetic-blobs"
 SMALL_DIGITS = "small-digits"
 DATASETS = (SYNTHETIC_BLOBS, SMALL_DIGITS)
+LOG_COLUMNS = ("epoch", "step", "loss", "val_acc", "sparsity")
 
 
 @dataclass(frozen=True)
@@ -230,30 +231,24 @@ def init_params(config: TrainConfig) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def forward(params, spec, x, out=None):
-    """Pre-activations and activations for every layer; logits last.
-
-    The activation applies to every pre-activation except the final one,
-    which is the logits layer.  The hidden layers' pre-activations and
-    activations are slices of two (depth - 1, len(x), width) arrays: the
-    pair ``out`` when it is given, fresh ones otherwise.
+    """Each layer's pre-activations and activations as (h, a), in order;
+    the logits last, as both.  The activation applies to every layer but
+    the logits.  The hidden layers go into the slices of ``out``, two
+    (depth - 1, len(x), width) arrays, or into fresh ones; callers set
+    numpy's error state.
     """
-    if out is None:
-        shape = (len(params) - 1, len(x), params[0][0].shape[0])
-        out = np.empty(shape), np.empty(shape)
-    hs, acts = out
+    hs, acts = out or ([None] * (len(params) - 1),) * 2
     a = x
-    # a diverging run legitimately produces inf/nan on its way to the
-    # divergence flag; keep numpy quiet about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (w, b), h, act in zip(params, hs, acts):
-            # in place: the sum is that of a @ w.T + b, bit for bit
-            np.matmul(a, w.T, out=h)
-            h += b
-            a = spec.evaluate(h, out=act)
-        w, b = params[-1]
-        logits = a @ w.T
-        logits += b
-    return [*hs, logits], [*acts, logits]
+    for (w, b), h, act in zip(params, hs, acts):
+        # the sum is that of a @ w.T + b, bit for bit
+        h = np.matmul(a, w.T, out=h)
+        h += b
+        a = spec.evaluate(h, out=act)
+        yield h, a
+    w, b = params[-1]
+    logits = a @ w.T
+    logits += b
+    yield logits, logits
 
 
 def loss_and_grads(params, spec, x, y, out=None):
@@ -267,11 +262,10 @@ def loss_and_grads(params, spec, x, y, out=None):
     work = _Workspace(params, n) if out is None else out
     grads = work.grads
     hs, acts, masks = work.h[:, :n], work.a[:, :n], work.mask[:, :n]
-    h_list, _ = forward(params, spec, x, out=(hs, acts))
     rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
+        *_, (p, _) = forward(params, spec, x, out=(hs, acts))
         # the softmax, in place in the logits, which nothing below reads
-        p = h_list[-1]
         p -= np.maximum.reduce(p, axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=1, keepdims=True)
@@ -302,11 +296,19 @@ def loss_and_grads(params, spec, x, y, out=None):
     return loss, grads
 
 
+def _split_pass(params, spec, x):
+    """Mean zero-activation fraction over the hidden stack, and the logits,
+    from one pass over a whole split that holds about one layer at a time."""
+    zeros = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, a in forward(params, spec, x):
+            zeros.append(float(np.mean(a == 0.0)))
+    return float(np.mean(zeros[:-1])), h
+
+
 def observed_sparsity(params, spec, x) -> float:
     """Mean fraction of exactly-zero activations over the hidden stack."""
-    _, a_list = forward(params, spec, x)
-    zeros = [float(np.mean(a == 0.0)) for a in a_list[:-1]]
-    return float(np.mean(zeros))
+    return _split_pass(params, spec, x)[0]
 
 
 # --------------------------------------------------------------------------
@@ -328,14 +330,21 @@ class TrainReport:
     step_log: list[tuple[int, int, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The report's fields, less the per-step log that
-        :func:`write_training_log` writes."""
+        """The report's fields, less the per-step log of :meth:`log_rows`."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "step_log"}
+
+    def log_rows(self) -> list[tuple]:
+        """One row per step under ``LOG_COLUMNS``.  Validation accuracy and
+        sparsity are epoch-level quantities, given at the last step of each
+        epoch and of the run, respectively, and None elsewhere."""
+        val_acc = {i * self.steps_per_epoch: acc for i, acc in enumerate(self.val_accuracies, 1)}
+        sparsity = {len(self.step_log): self.sparsity_final}
+        return [(epoch, step, loss, val_acc.get(step), sparsity.get(step))
+                for epoch, step, loss in self.step_log]
 
 
 def _accuracy(params, spec, x, y) -> float:
-    h_list, _ = forward(params, spec, x)
-    pred = np.argmax(h_list[-1], axis=1)
+    pred = np.argmax(_split_pass(params, spec, x)[1], axis=1)
     return float(np.mean(pred == y))
 
 
@@ -391,27 +400,6 @@ def train(config: TrainConfig) -> TrainReport:
         report.val_accuracies.append(_accuracy(params, spec, x_val, y_val))
         report.epochs_run = epoch
 
-    # the step's arrays are let go before the passes over whole splits,
-    # the largest arrays of a run
-    del work, grads
     report.test_accuracy = _accuracy(params, spec, x_te, y_te)
     report.sparsity_final = observed_sparsity(params, spec, x_tr)
     return report
-
-
-def write_training_log(report: TrainReport, path: str) -> None:
-    """CSV log: epoch, step, loss, val_acc, sparsity.
-
-    Validation accuracy and sparsity are epoch-level quantities; rows inside
-    an epoch leave those cells empty.
-    """
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,step,loss,val_acc,sparsity\n")
-        by_epoch_end = {}
-        for epoch, acc in enumerate(report.val_accuracies, start=1):
-            by_epoch_end[epoch * report.steps_per_epoch] = acc
-        for epoch, step, loss in report.step_log:
-            acc = by_epoch_end.get(step)
-            acc_cell = repr(acc) if acc is not None else ""
-            spars_cell = repr(report.sparsity_final) if step == len(report.step_log) else ""
-            fh.write(f"{epoch},{step},{loss!r},{acc_cell},{spars_cell}\n")

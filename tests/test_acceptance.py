@@ -282,7 +282,7 @@ def test_trainability_gradient_check():
     x = normalize_inputs(x_raw, init.q_star)[:16]
     y = y[:16]
     params = init_params(config)
-    h_list, _ = forward(params, init.spec, x)
+    h_list = [h for h, _ in forward(params, init.spec, x)]
     margin = min(
         float(np.min(np.abs(h[:, :, None] - np.array(kinks(init.spec))[None, None, :])))
         for h in h_list[:-1]

@@ -55,6 +55,20 @@ class TestSolve:
         assert doc["diagnostics"]["Vprimeprime"] == pytest.approx(0.01, abs=0.01)
         assert doc["nlo_bound"] is not None
 
+    @pytest.mark.parametrize("command", [["solve"], ["jacobian", "--depth", "10"]])
+    def test_subnormal_qstar_is_usage_error(self, command):
+        """q* below the smallest normal float exits 1 with one line naming
+        that float, not with null diagnostics and warnings."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", *command,
+             "--activation", "relu", "--qstar", "5e-309"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: variance must be at least the smallest normal float"
+                               " 2.2250738585072014e-308, got 5e-309\n")
+
     def test_solve_median_sparsity_zero_threshold(self):
         proc = run_cli(["solve", "--activation", "crelu", "-s", "0.5",
                         "--qstar", "1", "--vprime", "0.7"])
@@ -578,6 +592,30 @@ class TestJacobianCommand:
         assert doc["moments"]["m1"] == pytest.approx(1.0)
         assert doc["moments"]["sigma_jjt"] == pytest.approx(20.0)
         assert doc["moments"]["s1"] == -1.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "correlate", "sweep", "nlo"])
+def test_unwritable_table_output_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                       command):
+    """Every table command, like train, checks --out before it computes:
+    exit 1 with a message naming the path, and no file left behind."""
+    for module, name in ((cli.simulator, "run_forward"), (cli.simulator, "run_correlation"),
+                         (cli.finite_width, "nlo_trajectory"), (cli, "_sweep_block")):
+        monkeypatch.setattr(module, name, lambda *a: pytest.fail("computed"))
+    init = ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7"]
+    run = [*init, "--depth", "5", "--width", "64", "--batch", "8", "--seed", "7"]
+    flags = {
+        "simulate": run,
+        "correlate": [*run, "--rho0", "0.5"],
+        "sweep": ["--quantity", "nlo_bound", "--activation", "cst", "--sparsity", "0.8",
+                  "--qstar-range", "0.09:3:6", "--m-range", "0.5:3:6"],
+        "nlo": [*init, "--depth", "10"],
+    }[command]
+    out = tmp_path / "missing" / "t.csv"
+    assert cli.main([command, *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainCommand:

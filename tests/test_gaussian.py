@@ -1,6 +1,8 @@
 """Tests of the Gaussian expectation engine and normal-law utilities."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from mpmath import mp
 
 from eoc_lab._moments import _Kernel
 from eoc_lab.activations import ActivationSpec
-from eoc_lab.gaussian import erf_inv, normal_cdf, normal_quantile
+from eoc_lab.gaussian import _check_q, erf_inv, normal_cdf, normal_quantile
 
 from conftest import gaussian_mc
 from oracles import gauss_expect, kinks
@@ -65,6 +67,15 @@ class TestGaussExpect:
             gauss_expect(lambda z: z, 0.0)
         with pytest.raises(ValueError):
             gauss_expect(lambda z: z, -1.0)
+
+    def test_subnormal_variance_rejected(self):
+        """A variance below the smallest normal float is refused with a
+        message naming that float; the smallest normal float passes."""
+        tiny = sys.float_info.min
+        assert _check_q(tiny) == tiny
+        for q in (5e-309, 5e-324, np.array([1.0, tiny / 2])):
+            with pytest.raises(ValueError, match=re.escape(f"smallest normal float {tiny!r}")):
+                _check_q(q)
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(ValueError):

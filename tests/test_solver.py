@@ -283,6 +283,14 @@ class TestFixedPoints:
         report = find_fixed_points(init, lo=0.5, hi=hi)
         assert [p.q for p in report.points] == [1.0, hi]
 
+    def test_subnormal_lower_end_names_lo(self):
+        """A lower end below the smallest normal float, the q*/20 default
+        or a given one, is refused as --lo, not as a variance."""
+        with pytest.raises(ValueError, match="--lo"):
+            find_fixed_points(relu_init(1e-307))
+        with pytest.raises(ValueError, match="--lo"):
+            find_fixed_points(init_from_m("crelu", 0.85, 1.0, 2.0), lo=1e-310)
+
     def test_interval_validation(self):
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from eoc_lab import cli
 from eoc_lab.solver import solve_init
 from eoc_lab.trainer import (
+    LOG_COLUMNS,
     TrainConfig,
+    _accuracy,
     forward,
     init_params,
     load_digits_csv,
@@ -19,7 +22,6 @@ from eoc_lab.trainer import (
     observed_sparsity,
     train,
     train_val_test_split,
-    write_training_log,
 )
 
 from oracles import kinks
@@ -55,7 +57,7 @@ class TestGradients:
         spec = config.init.spec
 
         # finite differences are only trustworthy away from the kinks
-        h_list, _ = forward(params, spec, x)
+        h_list = [h for h, _ in forward(params, spec, x)]
         margin = min(
             float(np.min(np.abs(h[:, :, None] - np.array(kinks(spec))[None, None, :])))
             for h in h_list[:-1]
@@ -216,7 +218,8 @@ class TestTraining:
         config = small_config(epochs=2)
         report = train(config)
         path = tmp_path / "log.csv"
-        write_training_log(report, str(path))
+        rows = [tuple(map(cli._fmt, row)) for row in report.log_rows()]
+        cli._write_csv(str(path), LOG_COLUMNS, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,step,loss,val_acc,sparsity"
         assert len(lines) == 1 + len(report.step_log)
@@ -229,6 +232,25 @@ class TestTraining:
             params, config.init.spec, normalize_inputs(x, config.init.q_star)
         )
         assert sp == pytest.approx(config.init.s, abs=0.03)
+
+    def test_whole_split_passes_hold_about_one_layer(self):
+        """The sparsity and accuracy passes over a 700-row split of a
+        depth-30 net keep a few layers alive at a time, not the stack."""
+        config = small_config(depth=30, width=64, input_dim=64, n_samples=700, n_classes=10)
+        x_raw, y = make_blobs(config.seed, config.n_samples, config.input_dim, config.n_classes)
+        x = normalize_inputs(x_raw, config.init.q_star)
+        params = init_params(config)
+        spec = config.init.spec
+        layer_bytes = x.shape[0] * config.width * x.itemsize
+        for run in (lambda: observed_sparsity(params, spec, x),
+                    lambda: _accuracy(params, spec, x, y)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * layer_bytes
 
 
 _SMALL = ["--depth", "6", "--width", "16", "--epochs", "3", "--batch", "16", "--seed", "7",
