@@ -26,8 +26,8 @@ one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
     chi1' = sw2 / 2q (a g(a) - b g(b))
 
 The two-sided family is the one-sided value at its own threshold times 2,
-by symmetry, applied once as the last multiply.  relu is the unclipped
-member, tau = 0 and m = inf, whose clip terms vanish (i0 = 1/2, tail = 0).
+by symmetry, applied once as the last multiply.  A clip with no mass in
+float (g(b) = 0, b > 38.6) has clip terms 0; relu, tau = 0 and m = inf, is one.
 The test suite holds every closed form against quadrature of its defining
 integral, in ``tests/oracles.py``.
 """
@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .activations import CST, RELU, ActivationSpec
+from .activations import CST, ActivationSpec
 from .gaussian import _check_q, normal_cdf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -62,24 +62,27 @@ class _Kernel:
     ``sw2`` passed to the map methods.  Cached properties are free of q.
     """
 
+    @np.errstate(over="ignore")
     def __init__(self, kind: str, tau, m, q):
-        self.kind, self.q = kind, q
-        sq = np.sqrt(q)
-        self.a = tau / sq
-        self.b = (tau + m) / sq
-        self.x = m / sq
+        self.kind, self.q = kind, _check_q(q)
+        sq = np.sqrt(self.q)
+        self.a, self.b, self.x = tau / sq, (tau + m) / sq, m / sq
         self.ga, self.gb = _pdf(self.a), _pdf(self.b)
         # np.subtract keeps i0 a numpy scalar on scalar input, so 1 / i0 at
         # a saturated cell follows numpy's division rules like the arrays do
         self.i0 = np.subtract(normal_cdf(self.b), normal_cdf(self.a))
         self.tail = normal_cdf(-self.b)
-        if kind == RELU:
-            # a = 0; the clip terms must read 0 at b = x = inf, not inf * 0
-            self.b = self.x = self.a
+        # each term in b or x has a factor g(b) or tail.  Where g(b) is 0 (b
+        # may overflow to inf), b = x = a reads them 0 instead of inf * 0; a
+        # scalar skips .any(), which costs a third of a scalar kernel
+        massless = self.gb == 0.0
+        if massless.any() if massless.ndim else massless:
+            self.b = np.where(massless, self.a, self.b)
+            self.x = np.where(massless, self.a, self.x)
 
     @classmethod
     def at(cls, spec: ActivationSpec, q) -> "_Kernel":
-        return cls(spec.kind, spec.tau, spec.m, _check_q(q))
+        return cls(spec.kind, spec.tau, spec.m, q)
 
     def unit(self) -> "_Kernel":
         """The same a, b and x at q = 1, so moments read in units of q:

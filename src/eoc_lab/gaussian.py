@@ -27,6 +27,8 @@ def _check_q(q):
 
     Returns a float for scalar input and a float array otherwise.
     """
+    if isinstance(q, float) and _SMALLEST_NORMAL <= q < math.inf:
+        return float(q)
     arr = np.asarray(q, dtype=float)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if bad.any():
@@ -43,7 +45,8 @@ def normal_cdf(x):
 
     Returns a Python float for scalar input and a float array otherwise.
     """
-    if np.ndim(x) == 0:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
         return 0.5 * math.erfc(-float(x) * _SQRT_HALF)
     return 0.5 * _erfc(np.multiply(x, -_SQRT_HALF)).astype(float)
 

@@ -175,31 +175,20 @@ def _failure(k: _Kernel, sw2, sb2, q_star):
     Everything broadcasts over the arrays of ``k``, the kernel at q*, and
     cells that meet every condition read -1.  The solver raises from this
     predicate and the sweep masks with it, so both apply the same rules.
+    A nan fails the tolerance tests, so a nan sb2 reaches the V test.
     """
+    v_tol = _FIXED_POINT_TOL * np.maximum(1.0, q_star)
     with np.errstate(invalid="ignore"):
         return np.select(
             [
                 np.logical_not(k.linear > 0.0),
                 sb2 < 0.0,
-                np.abs(k.chi1(sw2) - 1.0) > _FIXED_POINT_TOL,
-                np.abs(k.v(sw2, sb2) - q_star) > _FIXED_POINT_TOL * np.maximum(1.0, q_star),
+                np.logical_not(np.abs(k.chi1(sw2) - 1.0) <= _FIXED_POINT_TOL),
+                np.logical_not(np.abs(k.v(sw2, sb2) - q_star) <= v_tol),
             ],
             range(len(_INFEASIBLE)),
             -1,
         )
-
-
-def _check_feasible(k: _Kernel, sw2, sb2, q_star) -> None:
-    failure = int(_failure(k, sw2, sb2, q_star))
-    if failure < 0:
-        return
-    with np.errstate(invalid="ignore"):
-        chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
-    raise InfeasibleTargetError(
-        _INFEASIBLE[failure].format(
-            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL
-        )
-    )
 
 
 def critical_gain(spec: ActivationSpec, q_star: float) -> float:
@@ -235,7 +224,15 @@ def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
 def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
     k = _Kernel.at(spec, q_star)
     sw2, sb2 = _critical(k, q_star)
-    _check_feasible(k, sw2, sb2, q_star)
+    failure = int(_failure(k, sw2, sb2, q_star))
+    if failure >= 0:
+        with np.errstate(invalid="ignore"):
+            chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
+        raise InfeasibleTargetError(
+            _INFEASIBLE[failure].format(
+                sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL
+            )
+        )
     return EocInit(
         spec=spec,
         q_star=q_star,
@@ -244,12 +241,6 @@ def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
         s=s,
         v_prime_at_fp=float(k.v_prime(sw2)),
     )
-
-
-def validate_init(init: EocInit) -> None:
-    """Check both criticality conditions; raises on violation."""
-    k = _Kernel.at(init.spec, init.q_star)
-    _check_feasible(k, init.sw2, init.sb2, init.q_star)
 
 
 def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> EocInit:

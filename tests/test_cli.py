@@ -284,6 +284,25 @@ class TestSweep:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds, message", [
+        ("1e-309:5:4", "at least the smallest normal float 2.2250738585072014e-308, got 1e-309"),
+        ("0:5:4", "positive and finite, got 0.0"),
+        ("-1:5:4", "positive and finite, got -1.0"),
+    ], ids=["subnormal", "zero", "negative"])
+    def test_vmap_curve_q_axis_is_checked(self, tmp_path, bounds, message):
+        """vmap_curve's q axis passes the variance check of every kernel."""
+        out = tmp_path / "vm.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", "sweep",
+             "--quantity", "vmap_curve", "--activation", "crelu", "--sparsity", "0.85",
+             "--qstar", "1.0", f"--qstar-range={bounds}", "--m-range", "1.2:2.0:2",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: variance must be {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, flag, text, form", [
         ("s_list", "--sparsity", "0.85,x", "comma-separated numbers"),
         ("qstar_range", "--qstar-range", "a:b:3", "lo:hi:steps"),

@@ -58,6 +58,13 @@ class TestVarianceMap:
         with pytest.raises(ValueError):
             v_map(ActivationSpec("relu"), 2.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, 1e-309, math.inf, math.nan])
+    def test_kernel_constructor_checks_variance(self, q):
+        """The bare constructor, which the sweep's q axis and the slope
+        solve use, checks q like every other caller."""
+        with pytest.raises(ValueError, match="variance must be"):
+            _Kernel("crelu", 1.0, 2.0, q)
+
 
 class TestArrayInput:
     def test_array_q_matches_scalar_calls(self):
@@ -290,6 +297,24 @@ class TestFloatRange:
             for f in (v_prime2, chi1_prime):
                 scaled = f(top.spec, top.sw2, 1e308) * 1e308
                 assert scaled == pytest.approx(f(one.spec, one.sw2, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    @pytest.mark.parametrize("q_star, m", [(1.0, 1e100), (1.0, 1e200), (1.0, 1e300),
+                                           (1e-300, 1e300)])
+    def test_clip_without_mass_is_no_clip(self, kind, q_star, m):
+        """A clip far past the Gaussian's mass, even where m / sqrt(q*)
+        overflows, gives the init of the clip m = 40, which has no mass in
+        float either: bit for bit, with no warning."""
+        def fields(clip):
+            init = init_from_m(kind, 0.85, q_star, clip)
+            curvature = v_prime2(init.spec, init.sw2, q_star)
+            return init.sw2, init.sb2, init.v_prime_at_fp, curvature
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far, unclipped = fields(m), fields(40.0)
+        assert far == unclipped
+        assert all(math.isfinite(v) for v in far)
 
 
 class TestSensitivityAcrossFixedPoints:

@@ -215,16 +215,24 @@ class TestSolveInit:
         with pytest.raises(ValueError, match="unknown activation kind 'gelu'"):
             init_from_m("gelu", 0.85, 1.0, 1.0)
 
+    def test_nan_second_moment_is_infeasible(self, monkeypatch):
+        """A nan E[phi^2] makes sb2 nan; the predicate reads nan as failing,
+        so the V condition names it instead of returning the init."""
+        from eoc_lab import _moments
+
+        monkeypatch.setattr(_moments._Kernel, "second", property(lambda self: math.nan))
+        with pytest.raises(InfeasibleTargetError, match=r"V\(q\*\) = nan deviates from q\*"):
+            init_from_m("crelu", 0.85, 1.0, 2.0)
+
     def test_inconsistent_init_fails_validation(self):
-        from eoc_lab.solver import validate_init
+        from eoc_lab import solver
+        from eoc_lab._moments import _Kernel
 
         init = solve_init("crelu", 0.85, 1.0, 0.7)
-        detuned = EocInit(
-            spec=init.spec, q_star=init.q_star, sw2=1.1 * init.sw2,
-            sb2=init.sb2, s=init.s, v_prime_at_fp=init.v_prime_at_fp,
-        )
-        with pytest.raises(InfeasibleTargetError):
-            validate_init(detuned)
+        k = _Kernel.at(init.spec, init.q_star)
+        assert solver._failure(k, init.sw2, init.sb2, init.q_star) == -1
+        # a detuned gain breaks chi1(q*) = 1, the third condition
+        assert solver._failure(k, 1.1 * init.sw2, init.sb2, init.q_star) == 2
 
     def test_json_roundtrip(self):
         init = solve_init("cst", 0.85, 2.0, 0.7)
