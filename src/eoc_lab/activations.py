@@ -21,7 +21,7 @@ choice, and 0 matches the subgradient the trainer uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,13 +109,9 @@ class ActivationSpec:
         return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:
-        if self.kind == RELU:
-            return {"kind": RELU, "tau": 0.0, "m": None}
-        return {"kind": self.kind, "tau": self.tau, "m": self.m}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ActivationSpec":
-        kind = data["kind"]
-        if kind == RELU:
-            return cls(RELU)
-        return cls(kind, float(data["tau"]), float(data["m"]))
+        # JSON has no infinity: the strict writer prints relu's m = inf as null
+        return cls(**{k: math.inf if v is None else v for k, v in data.items()})

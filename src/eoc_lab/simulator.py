@@ -35,7 +35,7 @@ import numpy as np
 
 from . import maps
 from ._streams import _check_seed, _philox
-from .gaussian import _check_q
+from .gaussian import _SMALLEST_NORMAL, _check_q
 from .solver import EocInit
 
 _STREAM_INPUT = 0
@@ -156,6 +156,11 @@ def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> Lay
     """The forward statistics of one layer's pre-activations h and
     activations x, the row every run reports."""
     q_hat = float(np.mean(h * h))
+    if 0.0 < q_hat < _SMALLEST_NORMAL:
+        raise ValueError(
+            f"layer {layer}'s measured variance q_hat = {q_hat!r} fell below "
+            f"the smallest normal float {_SMALLEST_NORMAL!r}"
+        )
     # a fully dead layer has no growth factor; chi1 -> 0 as q -> 0 for a
     # positive threshold, so report the limit instead of failing
     chi1_hat = maps.chi1(init.spec, init.sw2, q_hat) if q_hat > 0.0 else 0.0

@@ -113,25 +113,13 @@ class EocInit:
     v_prime_at_fp: float
 
     def to_dict(self) -> dict:
-        return {
-            "activation": self.spec.to_dict(),
-            "q_star": self.q_star,
-            "sw2": self.sw2,
-            "sb2": self.sb2,
-            "s": self.s,
-            "v_prime_at_fp": self.v_prime_at_fp,
-        }
+        doc = asdict(self)
+        return {"activation": doc.pop("spec"), **doc}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EocInit":
-        return cls(
-            spec=ActivationSpec.from_dict(data["activation"]),
-            q_star=float(data["q_star"]),
-            sw2=float(data["sw2"]),
-            sb2=float(data["sb2"]),
-            s=float(data["s"]),
-            v_prime_at_fp=float(data["v_prime_at_fp"]),
-        )
+        values = {k: float(v) for k, v in data.items() if k != "activation"}
+        return cls(ActivationSpec.from_dict(data["activation"]), **values)
 
 
 def sparsity_threshold(kind: str, s: float, q_star):
@@ -162,11 +150,15 @@ def _critical(k: _Kernel, q_star):
     """Gain and bias variance of the critical initialisation, per cell.
 
     ``k`` is the kernel at q*; sw2 = 1 / P(phi' = 1) makes chi1(q*) = 1 and
-    sb2 = q* - sw2 E[phi^2] places the fixed point.
+    sb2 = q* - sw2 E[phi^2] places the fixed point.  An sb2 within one ulp
+    of q* of 0 is below the rounding of that subtraction (E[phi^2] rounds
+    as a subnormal for q* under twice the smallest normal float), so it
+    reads 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sw2 = 1.0 / k.linear
-        return sw2, q_star - sw2 * k.second
+        sb2 = q_star - sw2 * k.second
+        return sw2, np.where(np.abs(sb2) <= np.spacing(q_star), 0.0, sb2)
 
 
 def _failure(k: _Kernel, sw2, sb2, q_star):

@@ -71,6 +71,11 @@ class TrainConfig:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == SMALL_DIGITS and not self.data_csv:
             raise ValueError("small-digits requires data_csv")
+        if self.data_csv and self.dataset != SMALL_DIGITS:
+            raise ValueError(
+                f"data_csv {self.data_csv!r} is read only by dataset {SMALL_DIGITS!r},"
+                f" got dataset {self.dataset!r}"
+            )
 
     def to_dict(self) -> dict:
         return {**asdict(self), "init": self.init.to_dict()}

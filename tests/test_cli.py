@@ -512,6 +512,19 @@ class TestSimulateAndCorrelate:
             columns[bool(extra)] = [line.split(",")[:4] for line in lines]
         assert columns[True] == columns[False]
 
+    def test_measured_subnormal_variance_is_named(self, tmp_path):
+        """A layer whose measured variance falls below the smallest normal
+        float exits 1 naming that layer and variance, and writes no file."""
+        out = tmp_path / "s.csv"
+        proc = run_cli(["simulate", "--activation", "relu", "--qstar", "2.3e-308",
+                        "--depth", "4", "--width", "8", "--batch", "4", "--seed", "1",
+                        "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: layer 1's measured variance q_hat = 1.9296911262384166e-308"
+                               " fell below the smallest normal float 2.2250738585072014e-308\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("variance", ["-1", "inf"])
     def test_bad_input_variance_is_usage_error(self, tmp_path, variance):
         out = tmp_path / "sim.csv"

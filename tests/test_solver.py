@@ -1,11 +1,13 @@
 """Tests of initialisation solving and fixed-point reporting."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from eoc_lab import cli
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.gaussian import normal_quantile
 from eoc_lab.maps import chi1, v_map, v_prime, v_prime2
@@ -234,9 +236,21 @@ class TestSolveInit:
         # a detuned gain breaks chi1(q*) = 1, the third condition
         assert solver._failure(k, 1.1 * init.sw2, init.sb2, init.q_star) == 2
 
-    def test_json_roundtrip(self):
-        init = solve_init("cst", 0.85, 2.0, 0.7)
-        assert EocInit.from_dict(init.to_dict()) == init
+    @pytest.mark.parametrize("init", [
+        relu_init(3.0), solve_init("crelu", 0.85, 1.0, 0.7), solve_init("cst", 0.85, 2.0, 0.7),
+    ])
+    def test_json_roundtrip(self, init, capsys):
+        """Through the text the strict writer prints, relu's m = inf as null."""
+        cli._emit_json(init.to_dict())
+        assert EocInit.from_dict(json.loads(capsys.readouterr().out)) == init
+
+    def test_from_dict_rejects_unknown_and_missing_keys(self):
+        doc = relu_init(3.0).to_dict()
+        with pytest.raises(TypeError):
+            EocInit.from_dict({**doc, "extra": 1.0})
+        del doc["sb2"]
+        with pytest.raises(TypeError):
+            EocInit.from_dict(doc)
 
 
 class TestReluInit:
@@ -246,7 +260,8 @@ class TestReluInit:
         assert chi1(init.spec, init.sw2, 3.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "q", [1e-300, 1e-150, 1e-12, 0.3, 1.0, 3.7, 1e6, 1e150, 1e300])
+        "q", [2.2250738585072014e-308, 2.5e-308, 3e-308, 4.4e-308,
+              1e-300, 1e-150, 1e-12, 0.3, 1.0, 3.7, 1e6, 1e150, 1e300])
     def test_exact_across_the_float_range(self, q):
         assert relu_init(q) == EocInit(ActivationSpec("relu"), q, 2.0, 0.0, 0.5, 1.0)
 

@@ -199,6 +199,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
             small_config(lr=lr)
 
+    def test_data_csv_needs_small_digits(self):
+        with pytest.raises(ValueError, match="data_csv 'd.csv' is read only by dataset "
+                                             "'small-digits', got dataset 'synthetic-blobs'"):
+            small_config(data_csv="d.csv")
+        with pytest.raises(ValueError, match="small-digits requires data_csv"):
+            small_config(dataset="small-digits")
+
     def test_smallest_accepted_sample_count_fills_every_split(self):
         for n in range(7, 200):
             splits = train_val_test_split(np.zeros((n, 6)), np.arange(n), seed=0)
