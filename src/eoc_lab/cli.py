@@ -214,35 +214,45 @@ def _cmd_solve(args) -> int:
 _GAIN_QUANTITIES = {"Vprime": "v_prime", "Vprimeprime": "v_prime2", "chi1prime": "chi1_prime"}
 
 
-def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor):
-    """One sparsity's block of a sweep, in CSV row order.
+def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor, out):
+    """One sparsity's block of a sweep, written into the flat array ``out``
+    in CSV row order.
 
     Every cell is a critical initialisation: the threshold comes from s and
     the gain is re-solved at the cell's q* (at ``anchor`` for vmap_curve,
     whose axes are (m, q) instead of (q*, m)).  A cell whose gain does not
     exist reads nan; so does a cell that fails the solver's feasibility
     predicate, for the quantities that need the whole initialisation.
+
+    The block is evaluated a chunk of rows of the leading axis at a time,
+    ``_CSV_CHUNK`` cells or one row if a row is longer.  Every operation is
+    elementwise, so the values are those of one whole-block evaluation, and
+    only one chunk's temporaries are ever held.
     """
-    if quantity == "vmap_curve":
-        q_star, m = anchor, m_grid[:, None]
-    else:
-        q_star, m = q_grid[:, None], m_grid
-    tau = sparsity_threshold(kind, s, q_star)
-    _check_shape(tau, m)
-    k = _Kernel(kind, tau, m, q_star)
-    sw2, sb2 = solver._critical(k, q_star)
-    failure = solver._failure(k, sw2, sb2, q_star)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if quantity in _GAIN_QUANTITIES:
-            values = getattr(k, _GAIN_QUANTITIES[quantity])(sw2)
-            infeasible = failure == solver._SATURATED
-        elif quantity == "nlo_bound":
-            values = finite_width._envelope(k, sw2)
-            infeasible = failure >= 0
+    lead, cols = (m_grid, q_grid) if quantity == "vmap_curve" else (q_grid, m_grid)
+    out = out.reshape(lead.size, cols.size)
+    step = max(1, _CSV_CHUNK // cols.size)
+    for i in range(0, lead.size, step):
+        if quantity == "vmap_curve":
+            q_star, m = anchor, lead[i:i + step, None]
         else:
-            values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
-            infeasible = failure >= 0
-        return np.where(infeasible, np.nan, values).ravel()
+            q_star, m = lead[i:i + step, None], m_grid
+        tau = sparsity_threshold(kind, s, q_star)
+        _check_shape(tau, m)
+        k = _Kernel(kind, tau, m, q_star)
+        sw2, sb2 = solver._critical(k, q_star)
+        failure = solver._failure(k, sw2, sb2, q_star)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if quantity in _GAIN_QUANTITIES:
+                values = getattr(k, _GAIN_QUANTITIES[quantity])(sw2)
+                infeasible = failure == solver._SATURATED
+            elif quantity == "nlo_bound":
+                values = finite_width._envelope(k, sw2)
+                infeasible = failure >= 0
+            else:
+                values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
+                infeasible = failure >= 0
+            out[i:i + step] = np.where(infeasible, np.nan, values)
 
 
 class _GridRows:
@@ -250,19 +260,24 @@ class _GridRows:
 
     Each axis value is formatted once, as text; a row is its coordinates
     (the product of the axes, last axis fastest) zipped with the repr of its
-    cell value.
+    cell value.  Cell values become Python floats ``_CSV_CHUNK`` at a time.
     """
 
     def __init__(self, axes, values):
         self._axes = axes
-        self._values = values
+        self._values = values.reshape(-1)
 
     def __len__(self):
         return self._values.size
 
     def __iter__(self):
         coords = map(",".join, itertools.product(*self._axes))
-        return zip(coords, map(repr, self._values.tolist()))
+        values = self._values
+        cells = itertools.chain.from_iterable(
+            map(repr, values[i:i + _CSV_CHUNK].tolist())
+            for i in range(0, values.size, _CSV_CHUNK)
+        )
+        return zip(coords, cells)
 
 
 def _cmd_sweep(args) -> int:
@@ -276,9 +291,9 @@ def _cmd_sweep(args) -> int:
 
     # every block is computed before the output file is opened, so a bad
     # sparsity late in the list leaves no partial file behind
-    values = np.concatenate([
-        _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor) for s in args.s_list
-    ])
+    values = np.empty((len(args.s_list), q_steps * m_steps))
+    for s, block in zip(args.s_list, values):
+        _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor, block)
     s_txt = [repr(s) for s in args.s_list]
     q_txt = [repr(q) for q in q_grid.tolist()]
     m_txt = [repr(m) for m in m_grid.tolist()]

@@ -24,10 +24,15 @@ rows x N array per layer, h, and rebuilds the activations from it.
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
 layer without reshuffling any other layer's stream.
+
+A run whose variance is too large for its Gram matrices and squares to
+stay in the float range is computed in lengths scaled down by a power of
+two (``_in_safe_units``), which is the same network and the same draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
@@ -45,6 +50,13 @@ _STREAM_PAIR = 4
 _STREAM_COMPLEMENT = 5
 
 _EPS = np.finfo(float).eps
+_LARGEST = float(np.finfo(float).max)
+# a run keeps its variances within [2^_LOW_EXPONENT, 2^_HIGH_EXPONENT] where
+# it can: above it correlate's product of two rows' sums of squares, about
+# (width q*)^2, nears the top of the float range, and the Gram matrices the
+# norm at which LAPACK's eigh rescales them; below it squares of lengths
+# near the subnormal range
+_LOW_EXPONENT, _HIGH_EXPONENT = -900, 400
 
 
 def _layer_rng(seed: int, layer: int, stream: int) -> np.random.Generator:
@@ -175,6 +187,45 @@ def _draw_inputs(config: SimConfig) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(var), size=(config.batch, config.width))
 
 
+def _in_safe_units(run):
+    """``run``, computed with every length scaled by 2^-k for the least k
+    that brings q* and the input variance to at most 2^400, where one above
+    that exists; k stops where the smaller of them would fall below 2^-900.
+
+    A power of two moves only exponents: the scaled run is the same network
+    and the same draw, every statistic but q_hat is a ratio of lengths, and
+    q_hat is scaled back by 4^k.  A q_hat beyond the float range raises
+    ValueError.  Runs that need no scaling keep every bit.
+    """
+
+    @functools.wraps(run)
+    def scaled_run(config: SimConfig, *args) -> list[LayerStats]:
+        init, variance = config.init, config.input_variance
+        variances = [init.q_star] if variance is None else [init.q_star, variance]
+        low = math.frexp(min(variances))[1] - 1  # min(variances) >= 2^low
+        high = math.frexp(max(variances))[1]  # max(variances) < 2^high
+        k = min((high - _HIGH_EXPONENT + 1) // 2, (low - _LOW_EXPONENT) // 2)
+        if k <= 0:
+            return run(config, *args)
+        c = math.ldexp(1.0, -k)
+        spec = replace(init.spec, tau=init.spec.tau * c, m=init.spec.m * c)
+        init = replace(init, spec=spec, q_star=init.q_star * c * c, sb2=init.sb2 * c * c)
+        if variance is not None:
+            variance *= c * c
+        stats = []
+        for st in run(replace(config, init=init, input_variance=variance), *args):
+            try:
+                stats.append(replace(st, q_hat=math.ldexp(st.q_hat, 2 * k)))
+            except OverflowError:
+                raise ValueError(
+                    f"layer {st.layer}'s measured variance exceeds the largest float {_LARGEST!r}"
+                ) from None
+        return stats
+
+    return scaled_run
+
+
+@_in_safe_units
 def run_forward(config: SimConfig) -> list[LayerStats]:
     """Forward propagation statistics, deterministic in the seed."""
     x0 = _draw_inputs(config)
@@ -202,6 +253,7 @@ def _pull_down(a: np.ndarray, w: np.ndarray, h: np.ndarray, delta: np.ndarray,
     return a.T @ (w @ (w.T @ (h @ delta.T - a @ fresh))) + fresh
 
 
+@_in_safe_units
 def run_backward(config: SimConfig) -> list[LayerStats]:
     """Forward statistics plus the second moment of a backpropagated error.
 
@@ -264,6 +316,7 @@ def _correlated_input_pair(config: SimConfig, rho0: float):
     return xa, xb
 
 
+@_in_safe_units
 def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
     """Track the empirical correlation of two inputs through shared weights.
 

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,12 +16,14 @@ import pytest
 from oracles import write_csv_rowwise
 
 import eoc_lab
-from eoc_lab import cli, finite_width, maps, simulator
+from eoc_lab import cli, finite_width, maps, simulator, solver
+from eoc_lab._moments import _Kernel
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.solver import (
     InfeasibleTargetError,
     critical_gain,
     init_from_m,
+    relu_init,
     solve_init,
     sparsity_threshold,
 )
@@ -361,8 +364,10 @@ class TestSweep:
         assert rc == 0
         s_list = [float(s) for s in sparsity.split(",")]
         q_grid, m_grid = np.linspace(*q_range), np.linspace(*m_range)
-        values = np.concatenate([cli._sweep_block(quantity, kind, s, q_grid, m_grid, 1.3)
-                                 for s in s_list])
+        values = np.empty((len(s_list), q_grid.size * m_grid.size))
+        for s, block in zip(s_list, values):
+            cli._sweep_block(quantity, kind, s, q_grid, m_grid, 1.3, block)
+        values = values.ravel()
         if quantity == "vmap_curve":
             header = ("activation", "s", "anchor_q_star", "m", "q", "value")
             coords = itertools.product([kind], s_list, [1.3], m_grid, q_grid)
@@ -385,23 +390,76 @@ class TestSweep:
         assert proc.stderr == ""
         assert [r["value"] for r in read_csv(out)].count("inf") == 3
 
+    @pytest.mark.parametrize("quantity", cli.SWEEP_QUANTITIES)
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    @pytest.mark.parametrize("rows, cols", [(17, 241), (3, 5000)])
+    def test_chunks_match_whole_block(self, quantity, kind, rows, cols):
+        """A block evaluated a chunk of rows at a time holds, bit for bit,
+        the values of one whole-grid evaluation: 17 rows of 241 cells are a
+        chunk of 16 rows and a ragged one of 1, and a row of 5000 cells,
+        longer than a chunk, is a chunk of its own.  The leading axis is q*,
+        or m for vmap_curve."""
+        lead, other = np.linspace(0.01, 5.0, rows), np.linspace(0.05, 8.0, cols)
+        q_grid, m_grid = (other, lead) if quantity == "vmap_curve" else (lead, other)
+        block = np.empty(rows * cols)
+        cli._sweep_block(quantity, kind, 0.8, q_grid, m_grid, 1.3, block)
+        whole = _whole_block(quantity, kind, 0.8, q_grid, m_grid, 1.3)
+        assert np.isfinite(whole).any()
+        assert block.tobytes() == whole.tobytes()
+
     def test_peak_memory_per_cell(self, tmp_path, capsys):
-        """The CSV is streamed in chunks: a 2 x 300 x 300 sweep peaks at
-        about 65 traced bytes a cell, against 192 when a list of every row
-        was built before writing."""
-        argv = ["sweep", "--quantity", "Vprimeprime", "--activation", "crelu",
-                "--sparsity", "0.65,0.87", "--qstar-range", "0.5:3:300",
-                "--m-range", "0.5:3:300", "--out", str(tmp_path / "grid.csv")]
-        cli.main(argv)  # untraced: the modules a first run imports are not state
-        tracemalloc.start()
-        try:
-            rc = cli.main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        """A sweep holds its values, 8 bytes a cell, and the temporaries and
+        lines of one chunk.  At 2 x 300 x 300 and 2 x 500 x 500 cells the
+        traced peak is within 8 bytes a cell plus 2 MiB (1.3-1.4 MiB above
+        the values), and between them it grows by at most 9 bytes a cell
+        (8.1 measured).  Evaluating each block whole grew 60 bytes a cell;
+        building a list of every row before writing, 192."""
+        def argv(steps):
+            return ["sweep", "--quantity", "Vprimeprime", "--activation", "crelu",
+                    "--sparsity", "0.65,0.87", "--qstar-range", f"0.5:3:{steps}",
+                    "--m-range", f"0.5:3:{steps}", "--out", str(tmp_path / "grid.csv")]
+
+        cli.main(argv(10))  # untraced: the modules a first run imports are not state
+        peaks = {}
+        for steps in (300, 500):
+            tracemalloc.start()
+            try:
+                rc = cli.main(argv(steps))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            cells = 2 * steps * steps
+            assert peak <= 8 * cells + 2 * 2**20, steps
+            peaks[cells] = peak
         capsys.readouterr()
-        assert rc == 0
-        assert peak <= 120 * 2 * 300 * 300
+        (small, peak_small), (large, peak_large) = sorted(peaks.items())
+        assert peak_large - peak_small <= 9 * (large - small)
+
+
+def _whole_block(quantity, kind, s, q_grid, m_grid, anchor):
+    """One sparsity's sweep block from one kernel evaluation over the whole
+    grid, flat in CSV row order."""
+    if quantity == "vmap_curve":
+        q_star, m = anchor, m_grid[:, None]
+    else:
+        q_star, m = q_grid[:, None], m_grid
+    tau = sparsity_threshold(kind, s, q_star)
+    k = _Kernel(kind, tau, m, q_star)
+    sw2, sb2 = solver._critical(k, q_star)
+    failure = solver._failure(k, sw2, sb2, q_star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if quantity == "Vprime":
+            values, infeasible = k.v_prime(sw2), failure == solver._SATURATED
+        elif quantity == "Vprimeprime":
+            values, infeasible = k.v_prime2(sw2), failure == solver._SATURATED
+        elif quantity == "chi1prime":
+            values, infeasible = k.chi1_prime(sw2), failure == solver._SATURATED
+        elif quantity == "nlo_bound":
+            values, infeasible = finite_width._envelope(k, sw2), failure >= 0
+        else:
+            values, infeasible = _Kernel(kind, tau, m, q_grid).v(sw2, sb2), failure >= 0
+        return np.where(infeasible, np.nan, values).ravel()
 
 
 class TestFixedPointsCommand:
@@ -523,6 +581,49 @@ class TestSimulateAndCorrelate:
         assert proc.stdout == ""
         assert proc.stderr == ("error: layer 1's measured variance q_hat = 1.9296911262384166e-308"
                                " fell below the smallest normal float 2.2250738585072014e-308\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["simulate", "--backward"],
+                                         ["correlate", "--rho0", "0.5"]])
+    def test_huge_qstar_is_the_scaled_run(self, tmp_path, command):
+        """At q* = 1e308 the Gram matrices and squares would overflow (the
+        run wrote a dead network: q_hat 0.0, sparsity 1.0).  It is computed
+        in lengths scaled by a power of two, so with no warning it is the
+        q* = 1 run with q_hat scaled by 1e308."""
+        out = tmp_path / "s.csv"
+        flags = ["--activation", "relu", "--depth", "4", "--width", "8", "--batch", "4",
+                 "--seed", "1"]
+        proc = run_cli([*command, *flags, "--qstar", "1e308", "--out", str(out)],
+                       env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 0 and proc.stderr == ""
+        config = simulator.SimConfig(init=relu_init(1.0), depth=4, width=8, batch=4, seed=1)
+        if command[0] == "correlate":
+            expected = simulator.run_correlation(config, 0.5)
+        else:
+            run = simulator.run_backward if "--backward" in command else simulator.run_forward
+            expected = run(config)
+        for row, st in zip(read_csv(out), expected, strict=True):
+            assert float(row["q_hat"]) / 1e308 == pytest.approx(st.q_hat, rel=1e-12)
+            assert float(row["sparsity_hat"]) == st.sparsity_hat
+            assert float(row["chi1_hat"]) == pytest.approx(st.chi1_hat, rel=1e-12)
+            for column in ("v_hat", "rho_hat"):
+                value = getattr(st, column)
+                if value is None:
+                    assert row[column] == ""
+                else:
+                    assert float(row[column]) == pytest.approx(value, rel=1e-9)
+
+    def test_qstar_beyond_the_float_range_is_named(self, tmp_path):
+        """A layer whose measured variance exceeds the largest float exits 1
+        naming that layer, and writes no file."""
+        out = tmp_path / "s.csv"
+        proc = run_cli(["simulate", "--activation", "relu", "--qstar", "1.7e308",
+                        "--depth", "4", "--width", "8", "--batch", "4", "--seed", "1",
+                        "--out", str(out)],
+                       env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: layer 2's measured variance exceeds the largest float"
+                               " 1.7976931348623157e+308\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("variance", ["-1", "inf"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,23 @@ class TestBackwardState:
                         assert st.sparsity_hat == st_ref.sparsity_hat
                         if st.rho_hat is not None:
                             assert st.rho_hat == pytest.approx(st_ref.rho_hat, abs=1e-10)
+
+    def test_huge_input_variance_keeps_a_tiny_qstar(self):
+        """Inputs at 1e300 into a network at q* = 1e-300: lengths scaled to
+        bring 1e300 within 2^400 would take q* out of the float range, so
+        the run is not rescaled and every layer is alive.  Inputs at 1e308
+        into q* = 1 are rescaled, where the Gram matrix overflowed."""
+        for q_star, variance in ((1e-300, 1e300), (1.0, 1e308)):
+            init = solve_init("crelu", 0.85, q_star, 0.7)
+            config = SimConfig(init=init, depth=4, width=8, batch=4, seed=1,
+                               input_variance=variance)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stats = run_forward(config)
+            assert stats[0].q_hat / variance == pytest.approx(0.8389961418427895, rel=1e-12)
+            for st in stats[1:]:
+                assert 0.0 < st.sparsity_hat < 1.0
+                assert 1.0 < st.q_hat / q_star < 10.0
 
     @pytest.mark.parametrize("q_scale", [1e-150, 1e150])
     def test_pull_down_does_not_overflow(self, q_scale):
