@@ -18,8 +18,10 @@ symmetric eigendecomposition and draws the columns from it: rows x N
 normals instead of N x N, exact in law.  ``run_backward`` pulls an error
 down through the same layers by drawing the weights' product with the
 error from their law given the forward draw h (Gaussian conditioning),
-from the same factor and again without the N x N matrix; it keeps one
-rows x N array per layer, h, and rebuilds the activations from it.
+from the same factor and again without the N x N matrix.  It keeps only
+the two rows x rows factors of each layer and rebuilds h on the way down
+from the factor and the layer's keyed stream, the same expression on the
+same operands as the forward draw, so bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
@@ -57,6 +59,10 @@ _LARGEST = float(np.finfo(float).max)
 # norm at which LAPACK's eigh rescales them; below it squares of lengths
 # near the subnormal range
 _LOW_EXPONENT, _HIGH_EXPONENT = -900, 400
+# a run whose larger variance cannot be brought within 2^_HIGH_EXPONENT, as
+# the smaller one would leave the window, is refused where a layer's sum of
+# batch x width squares could come within 2^8 of overflow
+_TOP_EXPONENT = 1016
 
 
 def _layer_rng(seed: int, layer: int, stream: int) -> np.random.Generator:
@@ -141,27 +147,33 @@ def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)
 
 
+def _draw(config: SimConfig, layer: int, root: np.ndarray) -> np.ndarray:
+    """A layer's pre-activations root Z, Z the (rows, width) standard
+    normals of the layer's keyed stream: the same bits whenever called."""
+    z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal(
+        (root.shape[0], config.width))
+    return root @ z
+
+
 def _conditional_pass(config: SimConfig, x0: np.ndarray):
-    """Propagate a (rows, width) input; yields (layer, h, x, w).
+    """Propagate a (rows, width) input; yields (layer, h, x, root, w).
 
     Each layer's pre-activations are drawn from their law given the
     activations below: with A = ``_design(...)`` and A A^T = U diag(lam)
-    U^T, the columns of h = U sqrt(lam keep) Z for standard normal
-    (rows, N) Z have covariance A A^T up to the round-off directions the
-    rank rule drops.  w = U keep / sqrt(lam), a rows x rows matrix, is
-    what ``run_backward`` needs of the factor besides h: A^T w spans the
-    parameter directions the draw fixed, and w^T h recovers Z on them, so
-    Z itself is not kept past its layer.
+    U^T, the columns of h = root Z, root = U sqrt(lam keep), for standard
+    normal (rows, N) Z have covariance A A^T up to the round-off
+    directions the rank rule drops.  w = U keep / sqrt(lam), a rows x rows
+    matrix, is what ``run_backward`` needs of the factor besides h: A^T w
+    spans the parameter directions the draw fixed, and w^T h recovers Z
+    on them.  Z is not kept past its layer: ``_draw`` makes it again.
     """
-    n = config.width
     init = config.init
     x = x0
     for layer in range(1, config.depth + 1):
         root, w = _gram_factor(_design(init, layer, x))
-        h = root @ _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal(
-            (x.shape[0], n))
+        h = _draw(config, layer, root)
         x = init.spec.evaluate(h)
-        yield layer, h, x, w
+        yield layer, h, x, root, w
 
 
 def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> LayerStats:
@@ -195,7 +207,9 @@ def _in_safe_units(run):
     A power of two moves only exponents: the scaled run is the same network
     and the same draw, every statistic but q_hat is a ratio of lengths, and
     q_hat is scaled back by 4^k.  A q_hat beyond the float range raises
-    ValueError.  Runs that need no scaling keep every bit.
+    ValueError, and so do variances too far apart for any k: where the
+    larger one times batch x width could still reach 2^1016.  Runs that
+    need no scaling keep every bit.
     """
 
     @functools.wraps(run)
@@ -205,6 +219,11 @@ def _in_safe_units(run):
         low = math.frexp(min(variances))[1] - 1  # min(variances) >= 2^low
         high = math.frexp(max(variances))[1]  # max(variances) < 2^high
         k = min((high - _HIGH_EXPONENT + 1) // 2, (low - _LOW_EXPONENT) // 2)
+        cells = config.batch * config.width
+        if high - 2 * max(k, 0) + (cells - 1).bit_length() > _TOP_EXPONENT:
+            raise ValueError(
+                f"q* = {init.q_star!r} and the input variance {variance!r} are too far"
+                " apart for one run to keep both in the float range")
         if k <= 0:
             return run(config, *args)
         c = math.ldexp(1.0, -k)
@@ -261,30 +280,33 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     pulled down through transposed weights and the activation-derivative
     diagonal; no loss function is involved.  Each layer's weights times the
     error come from ``_pull_down``, given the forward draw.  Per-layer state
-    is (h, w), popped top-down; the activations below, which A is built
-    from, are recomputed from h exactly as the forward pass made them.
+    is the two rows x rows factors (root, w), popped top-down, and only the
+    top layer's h outlives the forward pass: each layer below is rebuilt
+    once by ``_draw`` from its root, bit for bit the forward draw, and its
+    activations, which A is built from, are recomputed from it.
     """
     n = config.width
     init = config.init
     x0 = _draw_inputs(config)
-    stats, states = [], []
-    for layer, h, x, w in _conditional_pass(config, x0):
+    stats, factors = [], []
+    for layer, h, x, root, w in _conditional_pass(config, x0):
         stats.append(_layer_stats(init, layer, h, x))
-        states.append((h, w))
+        factors.append((root, w))
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
     v_hat = [float(np.mean(delta * delta))]
     scale = math.sqrt(init.sw2 / n)
     for layer in range(config.depth, 1, -1):
-        h, w = states.pop()
-        h_below = states[-1][0]
+        _, w = factors.pop()
+        h_below = _draw(config, layer - 1, factors[-1][0])
         theta_delta = _pull_down(
             _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
             _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
         )
         delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
         v_hat.append(float(np.mean(delta * delta)))
+        h = h_below
 
     return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]
 

@@ -3,25 +3,43 @@
 The quadrature routes evaluate the defining integrals directly, with the
 library's normal CDF and domain checks but none of its closed-form kernel,
 and are slower and (for the tensor rule) coarser than the closed forms.
-The dense samplers draw explicit weight matrices.  The lemma closed forms sum the
+The dense samplers draw explicit weight matrices, and ``backward_keeping_h``
+is the backward pass that keeps every layer's forward draw instead of
+rebuilding it.  The lemma closed forms sum the
 finite-width recursions geometrically from the injection term
 ``fourth_moment_innovation``, and ``iterated_correlation`` is the
 infinite-width correlation trajectory the simulator is checked against.
 ``write_csv_rowwise`` is the row-at-a-time CSV writer the CLI's streamed
-one is held to, byte for byte.
+one is held to, byte for byte.  ``sgd_losses_at_logit_scale`` is the
+trainer's SGD loop with its logits scaled and its backpropagation written
+out one layer at a time.
 """
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from eoc_lab import trainer
 from eoc_lab._moments import _Kernel
+from eoc_lab._streams import _philox
 from eoc_lab.activations import CRELU, RELU
 from eoc_lab.finite_width import _innovation
 from eoc_lab.gaussian import _check_q, normal_cdf
 from eoc_lab.maps import v_prime2
-from eoc_lab.simulator import _check_rho
+from eoc_lab.simulator import (
+    _STREAM_COMPLEMENT,
+    _STREAM_TOP_ERROR,
+    _check_rho,
+    _conditional_pass,
+    _design,
+    _draw_inputs,
+    _in_safe_units,
+    _layer_rng,
+    _layer_stats,
+    _pull_down,
+)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -206,6 +224,35 @@ def dense_backward(init, states, delta):
     return v_hat[::-1]
 
 
+@_in_safe_units
+def backward_keeping_h(config):
+    """``run_backward`` with every layer's pre-activations h kept from the
+    forward pass, as (h, w), where the library keeps the factors and draws
+    h again on the way down."""
+    n = config.width
+    init = config.init
+    stats, states = [], []
+    for layer, h, x, _, w in _conditional_pass(config, _draw_inputs(config)):
+        stats.append(_layer_stats(init, layer, h, x))
+        states.append((h, w))
+
+    rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
+    delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
+    v_hat = [float(np.mean(delta * delta))]
+    scale = math.sqrt(init.sw2 / n)
+    for layer in range(config.depth, 1, -1):
+        h, w = states.pop()
+        h_below = states[-1][0]
+        theta_delta = _pull_down(
+            _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
+            _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
+        )
+        delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
+        v_hat.append(float(np.mean(delta * delta)))
+
+    return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]
+
+
 def iterated_correlation(init, rho0, depth):
     """rho repeatedly passed through the one-layer map, after an affine
     first layer that leaves it unchanged."""
@@ -282,3 +329,42 @@ def write_csv_rowwise(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
+
+
+def sgd_losses_at_logit_scale(config, scale):
+    """The per-step losses of ``trainer.train``'s SGD loop on ``config``,
+    with the logits multiplied by ``scale`` and the biases trained at
+    lr / scale^2: the same data, initial parameters and batch order."""
+    x, y = trainer.load_dataset(config)
+    x = trainer.normalize_inputs(x, config.init.q_star)
+    (x_tr, y_tr), _, _ = trainer.train_val_test_split(x, y, config.seed)
+    spec = config.init.spec
+    params = trainer.init_params(config)
+    shuffle_rng = _philox(config.seed, 3000)
+    losses = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(x_tr))
+        for start in range(0, len(x_tr), config.batch):
+            idx = order[start : start + config.batch]
+            x_b, y_b = x_tr[idx], y_tr[idx]
+            rows = np.arange(len(y_b))
+            *hidden, (logits, _) = trainer.forward(params, spec, x_b)
+            p = scale * logits
+            p -= p.max(axis=1, keepdims=True)
+            p = np.exp(p)
+            p /= p.sum(axis=1, keepdims=True)
+            losses.append(float(-np.mean(np.log(p[rows, y_b] + 1e-300))))
+            # the loss's gradient with respect to the unscaled logits
+            delta = p
+            delta[rows, y_b] -= 1.0
+            delta /= len(y_b)
+            delta *= scale
+            inputs = [x_b] + [a for _, a in hidden]
+            for layer in reversed(range(len(params))):
+                w, b = params[layer]
+                grad_w, grad_b = delta.T @ inputs[layer], delta.sum(axis=0)
+                if layer:
+                    delta = (delta @ w) * spec.segment_mask(hidden[layer - 1][0])
+                w -= config.lr * grad_w
+                b -= config.lr / (scale * scale) * grad_b
+    return losses

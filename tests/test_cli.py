@@ -626,6 +626,24 @@ class TestSimulateAndCorrelate:
                                " 1.7976931348623157e+308\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--backward"]], ids=["forward", "backward"])
+    def test_variances_too_far_apart_are_named(self, tmp_path, extra):
+        """Inputs at 1e308 into q* = 1e-300: scaling the inputs into range
+        would take q* out of it, and unscaled the first Gram matrix
+        overflowed (layer 1 read as dead, exit 0).  The run exits 1 naming
+        both variances, with no warning and no file."""
+        out = tmp_path / "s.csv"
+        proc = run_cli(["simulate", "--activation", "crelu", "-s", "0.85", "--vprime", "0.7",
+                        "--qstar", "1e-300", "--input-variance", "1e308", "--depth", "4",
+                        "--width", "8", "--batch", "4", "--seed", "1", "--out", str(out),
+                        *extra],
+                       env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: q* = 1e-300 and the input variance 1e+308 are too far"
+                               " apart for one run to keep both in the float range\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("variance", ["-1", "inf"])
     def test_bad_input_variance_is_usage_error(self, tmp_path, variance):
         out = tmp_path / "sim.csv"

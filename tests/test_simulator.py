@@ -23,7 +23,13 @@ from eoc_lab.simulator import (
 )
 from eoc_lab.solver import EocInit, find_fixed_points, init_from_m, relu_init, solve_init
 
-from oracles import dense_backward, dense_forward, iterated_correlation, lemma_q1_closed_form
+from oracles import (
+    backward_keeping_h,
+    dense_backward,
+    dense_forward,
+    iterated_correlation,
+    lemma_q1_closed_form,
+)
 
 
 def scaled_gain(init, factor):
@@ -175,7 +181,7 @@ class TestConditioning:
     def assert_conditioned(config, x0):
         states = list(_conditional_pass(config, x0))
         delta = np.random.default_rng(config.seed).standard_normal(x0.shape)
-        for (_, _, x_below, _), (layer, h, _, w) in zip(states, states[1:]):
+        for (_, _, x_below, *_), (layer, h, _, _, w) in zip(states, states[1:]):
             a = _design(config.init, layer, x_below)
             theta_delta = _pull_down(a, w, h, delta, np.random.default_rng([config.seed, layer]))
             gap = np.linalg.norm(a @ theta_delta - h @ delta.T)
@@ -310,22 +316,47 @@ def scaled_lengths(init, c):
 
 
 class TestBackwardState:
-    def test_peak_memory_is_one_array_per_layer(self):
-        """The backward pass keeps h and the small factor w per layer:
-        peak traced bytes stay within twice one batch x width array per
-        layer (about 1.5x here; keeping the activations and the forward
-        noise as well takes 3.4x)."""
-        depth, width, batch = 20, 256, 16
-        config = SimConfig(init=solve_init("crelu", 0.85, 1.0, 0.7), depth=depth,
-                           width=width, batch=batch, seed=3)
-        run_backward(config)  # untraced: the modules a first run imports are not state
-        tracemalloc.start()
-        try:
-            run_backward(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * depth * batch * width * 8
+    def test_peak_memory_grows_by_two_batch_factors_per_layer(self):
+        """The backward pass keeps each layer's two batch x batch factors
+        and draws h again on the way down: peak traced bytes grow by at
+        most 2 batch^2 8 bytes plus 1 KiB (the layer's stats row) per added
+        layer, at every width.  4547 bytes were measured at both widths;
+        keeping h grew by 35 266 at width 256 and 133 570 at 1024."""
+        batch = 16
+        init = solve_init("crelu", 0.85, 1.0, 0.7)
+
+        def peak(depth, width):
+            config = SimConfig(init=init, depth=depth, width=width, batch=batch, seed=3)
+            run_backward(config)  # untraced: the modules a first run imports are not state
+            tracemalloc.start()
+            try:
+                run_backward(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for width in (256, 1024):
+            growth = (peak(60, width) - peak(20, width)) / 40
+            assert growth <= 2 * batch * batch * 8 + 1024, (width, growth)
+
+    @pytest.mark.parametrize("init, width, batch", [
+        (solve_init("crelu", 0.85, 1.0, 0.7), 64, 8),
+        (solve_init("cst", 0.85, 1.0, 0.7), 64, 8),
+        (relu_init(1.0), 64, 8),
+        (solve_init("crelu", 0.85, 1.0, 0.7), 16, 40),
+        (zero_bias(solve_init("cst", 0.7, 1.0, 0.7)), 16, 4),
+        (solve_init("crelu", 0.85, 2.0 ** 500, 0.7), 64, 8),
+    ], ids=["crelu", "cst", "relu", "more-rows-than-width", "dead-layer", "rescaled"])
+    def test_rebuilt_draws_match_kept_ones(self, init, width, batch):
+        """Drawing each layer's h again from its factor changes no bit of
+        any statistic against keeping the forward pass's h.  The rows are
+        compared by repr, which differs between floats of different bits
+        and reads nan as nan."""
+        config = SimConfig(init=init, depth=8, width=width, batch=batch, seed=1)
+        stats = run_backward(config)
+        assert list(map(repr, stats)) == list(map(repr, backward_keeping_h(config)))
+        if init.sb2 == 0.0 and init.spec.kind == "cst":
+            assert stats[-1].q_hat == 0.0  # dead by the top layer
 
     @pytest.mark.parametrize("kind", ["crelu", "cst"])
     def test_runs_are_scale_invariant(self, kind):
@@ -393,7 +424,7 @@ class TestBackwardState:
         c = math.sqrt(q_scale)
         states = list(_conditional_pass(config, _draw_inputs(config)))
         delta = np.random.default_rng(13).standard_normal((config.batch, config.width))
-        for (_, _, x_below, _), (layer, h, _, w) in zip(states, states[1:]):
+        for (_, _, x_below, *_), (layer, h, _, _, w) in zip(states, states[1:]):
             a = _design(config.init, layer, x_below)
             ref = _pull_down(a, w, h, delta, np.random.default_rng(layer))
             out = _pull_down(a * c, w / c, h * c, delta, np.random.default_rng(layer))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from eoc_lab.trainer import (
     train_val_test_split,
 )
 
-from oracles import kinks
+from oracles import kinks, sgd_losses_at_logit_scale
 
 
 def small_config(**overrides):
@@ -333,3 +334,21 @@ def test_parameters_and_gradients_share_one_buffer_each():
         layers.hidden_b[...] = 2.0
         assert [(float(w.sum()), float(b.sum())) for w, b in layers] == [
             (0.0, 0.0), (25.0, 10.0), (25.0, 10.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("kind, s, q0, k", [
+    ("crelu", 0.85, 1.0, 1),
+    ("cst", 0.7, 1.7, 1),
+    ("crelu", 0.9, 3.1, -1),
+])
+def test_larger_qstar_is_a_logit_scale(kind, s, q0, k):
+    """At fixed (s, V') the init at q* = 4^k q0 is the q0 init with every
+    length scaled by 2^k, and every layer is positively homogeneous, so
+    training there is step for step, bit for bit, training at q0 with the
+    logits multiplied by 2^k and the biases at lr / 4^k."""
+    config = TrainConfig(init=solve_init(kind, s, q0, 0.7), depth=10, width=64, epochs=3,
+                         lr=0.01, batch=32, seed=3, n_samples=400)
+    scaled = replace(config, init=solve_init(kind, s, q0 * 4.0 ** k, 0.7))
+    losses = [loss for *_, loss in train(scaled).step_log]
+    assert len(losses) == 27
+    assert losses == sgd_losses_at_logit_scale(config, 2.0 ** k)
