@@ -28,8 +28,11 @@ one-sided family phi(z) = clip(z - tau, 0, m) and z ~ N(0, q):
 The two-sided family is the one-sided value at its own threshold times 2,
 by symmetry, applied once as the last multiply.  A clip with no mass in
 float (g(b) = 0, b > 38.6) has clip terms 0; relu, tau = 0 and m = inf, is one.
-The test suite holds every closed form against quadrature of its defining
-integral, in ``tests/oracles.py``.
+A threshold with no mass in float (g(a) = 0) is a dead segment, whose terms
+read 0.  With q = q0 4^k, q0 in [1, 4), E[phi^2], E[phi^4], chi1' and V''
+are computed at q0 and scaled once: exactly covariant under q -> 4^k q for
+any finite q > 0, subnormal included, and inf beyond the float range.  The
+test suite holds every closed form against quadrature in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ class _Kernel:
     @np.errstate(over="ignore")
     def __init__(self, kind: str, tau, m, q):
         self.kind, self.q = kind, _check_q(q)
+        self._k = (np.frexp(self.q)[1] - 1) // 2
+        self.q0 = np.ldexp(self.q, -2 * self._k)
         sq = np.sqrt(self.q)
         self.a, self.b, self.x = tau / sq, (tau + m) / sq, m / sq
         self.ga, self.gb = _pdf(self.a), _pdf(self.b)
@@ -72,11 +77,12 @@ class _Kernel:
         # a saturated cell follows numpy's division rules like the arrays do
         self.i0 = np.subtract(normal_cdf(self.b), normal_cdf(self.a))
         self.tail = normal_cdf(-self.b)
-        # each term in b or x has a factor g(b) or tail.  Where g(b) is 0 (b
-        # may overflow to inf), b = x = a reads them 0 instead of inf * 0; a
-        # scalar skips .any(), which costs a third of a scalar kernel
+        # terms in b or x carry g(b) or tail, and terms in a g(a), i0 or tail:
+        # where g(b) is 0 (b may be inf) b = x = a, and where g(a) is 0 a = 0,
+        # read them 0, not inf * 0; a scalar skips .any() (a third of a kernel)
         massless = self.gb == 0.0
         if massless.any() if massless.ndim else massless:
+            self.a = np.where(self.ga == 0.0, 0.0, self.a)
             self.b = np.where(massless, self.a, self.b)
             self.x = np.where(massless, self.a, self.x)
 
@@ -86,10 +92,16 @@ class _Kernel:
 
     def unit(self) -> "_Kernel":
         """The same a, b and x at q = 1, so moments read in units of q:
-        E[phi^2] / q, E[phi^4] / q^2, q V'' and q chi1'."""
+        E[phi^2] / q, E[phi^4] / q^2, q V'' and q chi1'.  The 1/n bound is
+        formed here, not at q0, where the last bit of most cells moves."""
         unit = copy.copy(self)
-        unit.q = 1.0
+        unit.q, unit.q0, unit._k = 1.0, 1.0, 0
         return unit
+
+    def _scaled(self, value, power):
+        """``value``, computed at q0, times 4^(k power), the scale of q^power."""
+        with np.errstate(over="ignore"):
+            return np.ldexp(value, 2 * power * self._k)
 
     def _family(self, one):
         return 2.0 * one if self.kind == CST else one
@@ -122,12 +134,17 @@ class _Kernel:
     # moments of phi and phi'
 
     @property
-    def second(self):
-        """E[phi(z)^2]."""
+    def second_at_q0(self):
+        """E[phi(z)^2] at q0, which is E[phi^2] / 4^k."""
         a, x = self.a, self.x
         return self._family(
-            self.q * (self.i2 - 2.0 * a * self.i1 + a * a * self.i0 + x * x * self.tail)
+            self.q0 * (self.i2 - 2.0 * a * self.i1 + a * a * self.i0 + x * x * self.tail)
         )
+
+    @property
+    def second(self):
+        """E[phi(z)^2]."""
+        return self._scaled(self.second_at_q0, 1)
 
     @property
     def fourth(self):
@@ -138,7 +155,8 @@ class _Kernel:
             self.i4 - 4.0 * a * self.i3 + 6.0 * a2 * self.i2
             - 4.0 * a2 * a * self.i1 + a2 * a2 * self.i0
         )
-        return self._family(self.q * self.q * (linear + x * x * x * x * self.tail))
+        q0 = self.q0
+        return self._scaled(self._family(q0 * q0 * (linear + x * x * x * x * self.tail)), 2)
 
     @cached_property
     def linear(self):
@@ -157,11 +175,12 @@ class _Kernel:
         return self._family(sw2 * (self.i0 - self.x * self.gb))
 
     def chi1_prime(self, sw2):
-        return self._family(0.5 * sw2 / self.q * self._edge)
+        return self._scaled(self._family(0.5 * sw2 / self.q0 * self._edge), -1)
 
     def v_prime2(self, sw2):
         x, b, gb = self.x, self.b, self.gb
-        return self._family(0.5 * sw2 / self.q * (self._edge + x * (1.0 - b * b) * gb))
+        return self._scaled(
+            self._family(0.5 * sw2 / self.q0 * (self._edge + x * (1.0 - b * b) * gb)), -1)
 
     @property
     def slope_gap(self):

@@ -240,7 +240,7 @@ def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor, out):
         tau = sparsity_threshold(kind, s, q_star)
         _check_shape(tau, m)
         k = _Kernel(kind, tau, m, q_star)
-        sw2, sb2 = solver._critical(k, q_star)
+        sw2, sb2 = solver._critical(k)
         failure = solver._failure(k, sw2, sb2, q_star)
         with np.errstate(divide="ignore", invalid="ignore"):
             if quantity in _GAIN_QUANTITIES:

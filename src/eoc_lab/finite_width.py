@@ -16,10 +16,10 @@ the depth-independent envelope
     |q1_l| <= (sw2^2 / 2) |V''(q*)| |E[phi^4] - E[phi^2]^2|
               / ((1 - V')^2 (1 + V')),    l >= 3.
 
-The moments E[phi^2], E[phi^4] are taken at variance q* in units of q*
-(E[phi^4] alone would overflow above q* of about 1e154), by the same
-segment-analytic engine as the variance map, which also supplies 1 - V'
-directly; the bound and q1 are then scaled by q*, and r by q*^2.
+The moments are taken in units of q* (the kernel at q = 1 with the a, b
+and x of q*), by the same segment-analytic engine as the variance map,
+which also supplies 1 - V' directly; the bound and q1 are then scaled by
+q*, and r by q*^2 (so r reads inf above q* of about 1e154).
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def theorem1_bound(init: EocInit) -> float:
 
 def log_theorem1_bound(init: EocInit) -> float:
     """log of :func:`theorem1_bound`, summed from the logs of its factors
-    where the bound overflows; -inf when the curvature vanishes."""
+    where the bound overflows, at any q* (at q* = 1 for cst s 0.85, m 25.7);
+    -inf when the curvature vanishes."""
     bound = theorem1_bound(init)
     if math.isfinite(bound):
         return math.log(bound) if bound > 0.0 else -math.inf

@@ -17,26 +17,21 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
 _STANDARD_NORMAL = NormalDist()
-_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_q(q):
-    """A variance, or an array of them; each must be positive, finite and
-    normal (a subnormal q has fewer significant bits, and 1/q can overflow).
+    """A variance, or an array of them; each must be positive and finite
+    (a subnormal q is exact, and the kernel computes at q / 4^k in [1, 4)).
 
     Returns a float for scalar input and a float array otherwise.
     """
-    if isinstance(q, float) and _SMALLEST_NORMAL <= q < math.inf:
+    if isinstance(q, float) and 0.0 < q < math.inf:
         return float(q)
     arr = np.asarray(q, dtype=float)
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if bad.any():
         raise ValueError(f"variance must be positive and finite, got {arr[bad].flat[0]}")
-    low = arr < _SMALLEST_NORMAL
-    if low.any():
-        smallest = f"the smallest normal float {_SMALLEST_NORMAL!r}"
-        raise ValueError(f"variance must be at least {smallest}, got {arr[low].flat[0]}")
     return arr if arr.ndim else float(arr)
 
 

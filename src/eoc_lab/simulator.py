@@ -27,9 +27,9 @@ Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
 layer without reshuffling any other layer's stream.
 
-A run whose variance is too large for its Gram matrices and squares to
-stay in the float range is computed in lengths scaled down by a power of
-two (``_in_safe_units``), which is the same network and the same draw.
+Every run is computed in units of q*, with lengths scaled by the power of
+two that brings q* to q0 in [1, 4) (``_in_safe_units``): the same network
+and draw, so a run at q0 4^k is the run at q0 with q_hat scaled by 4^k.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import maps
 from ._streams import _check_seed, _philox
-from .gaussian import _SMALLEST_NORMAL, _check_q
+from .gaussian import _check_q
 from .solver import EocInit
 
 _STREAM_INPUT = 0
@@ -53,15 +53,8 @@ _STREAM_COMPLEMENT = 5
 
 _EPS = np.finfo(float).eps
 _LARGEST = float(np.finfo(float).max)
-# a run keeps its variances within [2^_LOW_EXPONENT, 2^_HIGH_EXPONENT] where
-# it can: above it correlate's product of two rows' sums of squares, about
-# (width q*)^2, nears the top of the float range, and the Gram matrices the
-# norm at which LAPACK's eigh rescales them; below it squares of lengths
-# near the subnormal range
-_LOW_EXPONENT, _HIGH_EXPONENT = -900, 400
-# a run whose larger variance cannot be brought within 2^_HIGH_EXPONENT, as
-# the smaller one would leave the window, is refused where a layer's sum of
-# batch x width squares could come within 2^8 of overflow
+# a run whose variances are too far apart is refused where the larger
+# one's sum of batch x width squares could come within 2^8 of overflow
 _TOP_EXPONENT = 1016
 
 
@@ -180,11 +173,6 @@ def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> Lay
     """The forward statistics of one layer's pre-activations h and
     activations x, the row every run reports."""
     q_hat = float(np.mean(h * h))
-    if 0.0 < q_hat < _SMALLEST_NORMAL:
-        raise ValueError(
-            f"layer {layer}'s measured variance q_hat = {q_hat!r} fell below "
-            f"the smallest normal float {_SMALLEST_NORMAL!r}"
-        )
     # a fully dead layer has no growth factor; chi1 -> 0 as q -> 0 for a
     # positive threshold, so report the limit instead of failing
     chi1_hat = maps.chi1(init.spec, init.sw2, q_hat) if q_hat > 0.0 else 0.0
@@ -200,37 +188,32 @@ def _draw_inputs(config: SimConfig) -> np.ndarray:
 
 
 def _in_safe_units(run):
-    """``run``, computed with every length scaled by 2^-k for the least k
-    that brings q* and the input variance to at most 2^400, where one above
-    that exists; k stops where the smaller of them would fall below 2^-900.
-
-    A power of two moves only exponents: the scaled run is the same network
-    and the same draw, every statistic but q_hat is a ratio of lengths, and
-    q_hat is scaled back by 4^k.  A q_hat beyond the float range raises
-    ValueError, and so do variances too far apart for any k: where the
-    larger one times batch x width could still reach 2^1016.  Runs that
-    need no scaling keep every bit.
+    """``run``, computed with every length scaled by 2^-k, k = (e_q* + e_v)
+    // 4 from the binary exponents of q* and the input variance (q*'s own
+    without one, so that q* / 4^k is q0 in [1, 4)).  A power of two moves
+    only exponents: the scaled run is the same network and the same draw,
+    every statistic but q_hat is a ratio of lengths, and q_hat is scaled
+    back by 4^k.  A q_hat beyond the float range raises ValueError, and so
+    do variances too far apart: where the larger one times batch x width
+    could reach 2^1016 even so.
     """
 
     @functools.wraps(run)
     def scaled_run(config: SimConfig, *args) -> list[LayerStats]:
         init, variance = config.init, config.input_variance
-        variances = [init.q_star] if variance is None else [init.q_star, variance]
-        low = math.frexp(min(variances))[1] - 1  # min(variances) >= 2^low
-        high = math.frexp(max(variances))[1]  # max(variances) < 2^high
-        k = min((high - _HIGH_EXPONENT + 1) // 2, (low - _LOW_EXPONENT) // 2)
+        e_q = math.frexp(init.q_star)[1] - 1  # 2^e_q <= q* < 2^(e_q + 1)
+        e_v = e_q if variance is None else math.frexp(variance)[1] - 1
+        k = (e_q + e_v) // 4
         cells = config.batch * config.width
-        if high - 2 * max(k, 0) + (cells - 1).bit_length() > _TOP_EXPONENT:
+        if max(e_q, e_v) + 1 - 2 * k + (cells - 1).bit_length() > _TOP_EXPONENT:
             raise ValueError(
                 f"q* = {init.q_star!r} and the input variance {variance!r} are too far"
                 " apart for one run to keep both in the float range")
-        if k <= 0:
-            return run(config, *args)
-        c = math.ldexp(1.0, -k)
-        spec = replace(init.spec, tau=init.spec.tau * c, m=init.spec.m * c)
-        init = replace(init, spec=spec, q_star=init.q_star * c * c, sb2=init.sb2 * c * c)
-        if variance is not None:
-            variance *= c * c
+        spec = replace(init.spec, tau=math.ldexp(init.spec.tau, -k),
+                       m=math.ldexp(init.spec.m, -k))
+        init = replace(init, spec=spec, q_star=math.ldexp(init.q_star, -2 * k),
+                       sb2=math.ldexp(init.sb2, -2 * k))
+        variance = None if variance is None else math.ldexp(variance, -2 * k)
         stats = []
         for st in run(replace(config, init=init, input_variance=variance), *args):
             try:
@@ -344,8 +327,11 @@ def run_correlation(config: SimConfig, rho0: float) -> list[LayerStats]:
 
     The two input batches ride through the network stacked into one
     forward pass, so each layer's pre-activations are drawn jointly for all
-    rows, as shared weights would give.
+    rows, as shared weights would give.  Both are drawn at q*, so a config
+    with an ``input_variance`` is refused.
     """
+    if config.input_variance is not None:
+        raise ValueError("run_correlation draws its inputs at q*: input_variance must be None")
     xa, xb = _correlated_input_pair(config, _check_rho(rho0))
     stacked = np.concatenate([xa, xb], axis=0)
 

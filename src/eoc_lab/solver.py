@@ -37,7 +37,7 @@ import numpy as np
 from . import maps
 from ._moments import _Kernel, _value
 from .activations import CRELU, CST, RELU, ActivationSpec
-from .gaussian import _SMALLEST_NORMAL, _check_q, erf_inv, normal_quantile
+from .gaussian import _check_q, erf_inv, normal_quantile
 
 # bracket of the clip level in units of sqrt(q*), x = m / sqrt(q*)
 X_BRACKET = (1e-4, 50.0)
@@ -140,25 +140,23 @@ def sparsity_threshold(kind: str, s: float, q_star):
             )
         return _value(np.sqrt(q_star) * normal_quantile(s))
     if kind == CST:
-        return _value(np.sqrt(2.0 * q_star) * erf_inv(s))
+        # sqrt(q*/2) 2 is sqrt(2 q*) exactly, and 2 q* overflows above 9e307
+        return _value(np.sqrt(0.5 * q_star) * (2.0 * erf_inv(s)))
     if kind == RELU:
         return 0.0
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def _critical(k: _Kernel, q_star):
+def _critical(k: _Kernel):
     """Gain and bias variance of the critical initialisation, per cell.
 
     ``k`` is the kernel at q*; sw2 = 1 / P(phi' = 1) makes chi1(q*) = 1 and
-    sb2 = q* - sw2 E[phi^2] places the fixed point.  An sb2 within one ulp
-    of q* of 0 is below the rounding of that subtraction (E[phi^2] rounds
-    as a subnormal for q* under twice the smallest normal float), so it
-    reads 0.
+    sb2 = q* - sw2 E[phi^2] places the fixed point; it is subtracted at q0
+    and scaled once, so it is exactly 4^k times its q0 value.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sw2 = 1.0 / k.linear
-        sb2 = q_star - sw2 * k.second
-        return sw2, np.where(np.abs(sb2) <= np.spacing(q_star), 0.0, sb2)
+        return sw2, k._scaled(k.q0 - sw2 * k.second_at_q0, 1)
 
 
 def _failure(k: _Kernel, sw2, sb2, q_star):
@@ -186,7 +184,7 @@ def _failure(k: _Kernel, sw2, sb2, q_star):
 def critical_gain(spec: ActivationSpec, q_star: float) -> float:
     """The weight variance making chi1(q*) = 1, in closed form."""
     k = _Kernel.at(spec, q_star)
-    sw2, sb2 = _critical(k, q_star)
+    sw2, sb2 = _critical(k)
     if _failure(k, sw2, sb2, q_star) == _SATURATED:
         raise InfeasibleTargetError(_INFEASIBLE[_SATURATED])
     return float(sw2)
@@ -215,7 +213,7 @@ def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
 
 def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
     k = _Kernel.at(spec, q_star)
-    sw2, sb2 = _critical(k, q_star)
+    sw2, sb2 = _critical(k)
     failure = int(_failure(k, sw2, sb2, q_star))
     if failure >= 0:
         with np.errstate(invalid="ignore"):
@@ -316,10 +314,10 @@ def find_fixed_points(
     """
     lo = init.q_star / 20.0 if lo is None else float(lo)
     hi = init.q_star * 20.0 if hi is None else float(hi)
-    if not (_SMALLEST_NORMAL <= lo < init.q_star < hi):
+    if not (0.0 < lo < init.q_star < hi):
         raise ValueError(
-            f"need {_SMALLEST_NORMAL!r} (the smallest normal float) <= lo < q* < hi,"
-            f" got --lo {lo!r} (q*/20 by default), q* {init.q_star!r}, --hi {hi!r}"
+            f"need 0 < lo < q* < hi, got --lo {lo!r} (q*/20 by default),"
+            f" q* {init.q_star!r}, --hi {hi!r}"
         )
     if not math.isfinite(hi):
         raise ValueError(f"hi must be finite, got {hi}")

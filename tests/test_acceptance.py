@@ -338,7 +338,15 @@ def test_trainability_comparative():
     step count to reach training loss 1.0 at q*=3 is at most that of q*=1
     (runs never reaching it are censored at the full budget), and no q*=3
     seed diverges.  (c) observed sparsity at initialisation within 0.02 of
-    the target.  Budget 20 minutes."""
+    the target.  Budget 20 minutes.
+
+    At fixed (s, V') the initialisation is the same in units of q*, so the
+    q* = 3 run is the q* = 1 run with its logits scaled by sqrt(3) and its
+    bias learning rate by 1/3 (``test_trainer.py::
+    test_larger_qstar_is_a_logit_scale``).  At this fixed lr the contrast is
+    a logit-scale contrast: the logit factor alone recovers the gain, and
+    so does about twice the lr at q* = 1, so it does not show that a
+    larger q* helps at a tuned lr (the table of ROADMAP.md, item 7)."""
     t0 = time.perf_counter()
     steps = {1.0: [], 3.0: []}
     diverged3 = []

@@ -47,6 +47,61 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+def _run_in_process(argv, tmp_path, capsys):
+    """The stdout document of one command run by ``cli.main``, and the rows
+    of its table with numbers parsed (None without ``tmp_path``, for the
+    commands that write no table)."""
+    out = [] if tmp_path is None else ["--out", str(tmp_path / "out.csv")]
+    capsys.readouterr()
+    assert cli.main([*argv, *out]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if tmp_path is None:
+        return doc, None
+    return doc, [{key: float(v) if v and key != "activation" else v for key, v in row.items()}
+                 for row in read_csv(out[1])]
+
+
+# the power of 2^k by which each output scales under q* -> 4^k q*: lengths
+# by 2^k, variances by 4^k, r by 16^k, V'' and chi1' by 4^-k; every other
+# output is unchanged
+_POWER = {
+    "tau": 1, "m": 1, "m_range": 1, "q_star": 2, "q": 2, "sb2": 2, "V": 2, "q_hat": 2,
+    "anchor_q_star": 2, "q_star_range": 2, "search_interval": 2, "nlo_bound": 2, "bound": 2,
+    "q1": 2, "trajectory_max_abs_q1": 2, "r": 4, "Vprimeprime": -2, "chi1prime": -2,
+}
+
+
+def assert_covariant(new, old, k, key=None, power=_POWER):
+    """``new``, a command's output at q* = 4^k q0, is ``old``, the output
+    at q0, with every number scaled by its power of 2^k exactly.  A value
+    beyond the float range reads inf (null in JSON).  A subnormal one is
+    rounded at its own step, so it may be a step or two off; log_bound is
+    a logarithm, shifted by 2k log 2 up to its rounding."""
+    if isinstance(old, dict):
+        assert list(new) == list(old)
+        for name in old:
+            assert_covariant(new[name], old[name], k, name, power)
+    elif isinstance(old, (list, tuple)):
+        assert len(new) == len(old), key
+        for a, b in zip(new, old):
+            assert_covariant(a, b, k, key, power)
+    elif key == "log_bound" and old is not None:
+        assert new == pytest.approx(old + 2 * k * math.log(2.0), rel=1e-14, abs=1e-14)
+    elif isinstance(old, float) and key in power:
+        try:
+            expected = math.ldexp(old, power[key] * k)
+        except OverflowError:
+            expected = math.copysign(math.inf, old)
+        if new is None:  # JSON's null for a non-finite number
+            assert not math.isfinite(expected), key
+        elif abs(expected) < sys.float_info.min:
+            assert abs(new - expected) <= 2 * math.ulp(0.0), key
+        else:
+            assert repr(new) == repr(expected), key
+    else:
+        assert repr(new) == repr(old), key
+
+
 class TestSolve:
     def test_solve_matches_golden_cell(self):
         proc = run_cli(["solve", "--activation", "crelu", "-s", "0.85",
@@ -59,18 +114,23 @@ class TestSolve:
         assert doc["nlo_bound"] is not None
 
     @pytest.mark.parametrize("command", [["solve"], ["jacobian", "--depth", "10"]])
-    def test_subnormal_qstar_is_usage_error(self, command):
-        """q* below the smallest normal float exits 1 with one line naming
-        that float, not with null diagnostics and warnings."""
+    def test_subnormal_qstar_is_the_q0_run(self, command, capsys):
+        """A subnormal q* is an exact value whose q0 is normal: the command
+        exits 0 with no warning, and its document is the q0 document
+        scaled (it exited 1 naming the smallest normal float)."""
+        relu = ["--activation", "relu"]
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", *command,
-             "--activation", "relu", "--qstar", "5e-309"],
+             *relu, "--qstar", "5e-309"],
             capture_output=True, text=True, timeout=600,
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == ("error: variance must be at least the smallest normal float"
-                               " 2.2250738585072014e-308, got 5e-309\n")
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["init"]["sb2"] == 0.0
+        k = (math.frexp(5e-309)[1] - 1) // 2
+        q0_doc, _ = _run_in_process([*command, *relu, "--qstar", repr(math.ldexp(5e-309, -2 * k))],
+                                    None, capsys)
+        assert_covariant(doc, q0_doc, k)
 
     def test_solve_median_sparsity_zero_threshold(self):
         proc = run_cli(["solve", "--activation", "crelu", "-s", "0.5",
@@ -288,10 +348,9 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds, message", [
-        ("1e-309:5:4", "at least the smallest normal float 2.2250738585072014e-308, got 1e-309"),
         ("0:5:4", "positive and finite, got 0.0"),
         ("-1:5:4", "positive and finite, got -1.0"),
-    ], ids=["subnormal", "zero", "negative"])
+    ], ids=["zero", "negative"])
     def test_vmap_curve_q_axis_is_checked(self, tmp_path, bounds, message):
         """vmap_curve's q axis passes the variance check of every kernel."""
         out = tmp_path / "vm.csv"
@@ -305,6 +364,27 @@ class TestSweep:
         assert proc.returncode == 1
         assert proc.stderr == f"error: variance must be {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_vmap_curve_below_the_threshold_is_sb2(self, tmp_path, kind):
+        """At a subnormal q the threshold a = tau / sqrt(q) passes 1e154 and
+        the segment has no mass in float: V(q) reads sb2, with no warning
+        (the q axis was refused; at 2.3e-308 a^2 overflowed into nan)."""
+        out = tmp_path / "vm.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", "sweep",
+             "--quantity", "vmap_curve", "--activation", kind, "--sparsity", "0.85",
+             "--qstar", "1.0", "--qstar-range=1e-309:5:4", "--m-range", "1.2:2.0:2",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = read_csv(out)
+        assert len(rows) == 8
+        for row in rows:
+            if row["q"] == "1e-309":
+                init = init_from_m(kind, 0.85, 1.0, float(row["m"]))
+                assert float(row["value"]) == init.sb2
 
     @pytest.mark.parametrize("key, flag, text, form", [
         ("s_list", "--sparsity", "0.85,x", "comma-separated numbers"),
@@ -446,7 +526,7 @@ def _whole_block(quantity, kind, s, q_grid, m_grid, anchor):
         q_star, m = q_grid[:, None], m_grid
     tau = sparsity_threshold(kind, s, q_star)
     k = _Kernel(kind, tau, m, q_star)
-    sw2, sb2 = solver._critical(k, q_star)
+    sw2, sb2 = solver._critical(k)
     failure = solver._failure(k, sw2, sb2, q_star)
     with np.errstate(divide="ignore", invalid="ignore"):
         if quantity == "Vprime":
@@ -570,18 +650,17 @@ class TestSimulateAndCorrelate:
             columns[bool(extra)] = [line.split(",")[:4] for line in lines]
         assert columns[True] == columns[False]
 
-    def test_measured_subnormal_variance_is_named(self, tmp_path):
-        """A layer whose measured variance falls below the smallest normal
-        float exits 1 naming that layer and variance, and writes no file."""
-        out = tmp_path / "s.csv"
-        proc = run_cli(["simulate", "--activation", "relu", "--qstar", "2.3e-308",
-                        "--depth", "4", "--width", "8", "--batch", "4", "--seed", "1",
-                        "--out", str(out)])
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == ("error: layer 1's measured variance q_hat = 1.9296911262384166e-308"
-                               " fell below the smallest normal float 2.2250738585072014e-308\n")
-        assert not out.exists()
+    def test_measured_subnormal_variance_is_the_q0_run(self, tmp_path, capsys):
+        """A run whose measured variances are subnormal is the q0 run with
+        q_hat scaled by 4^k, each rounded once (it exited 1 naming layer 1's
+        q_hat 1.9296911262384166e-308)."""
+        flags = ["simulate", "--activation", "relu", "--depth", "4", "--width", "8",
+                 "--batch", "4", "--seed", "1"]
+        doc, rows = _run_in_process([*flags, "--qstar", "2.3e-308"], tmp_path, capsys)
+        assert rows[0]["q_hat"] == 1.9296911262384166e-308
+        k = (math.frexp(2.3e-308)[1] - 1) // 2
+        q0 = repr(math.ldexp(2.3e-308, -2 * k))
+        assert_covariant((doc, rows), _run_in_process([*flags, "--qstar", q0], tmp_path, capsys), k)
 
     @pytest.mark.parametrize("command", [["simulate"], ["simulate", "--backward"],
                                          ["correlate", "--rho0", "0.5"]])
@@ -589,29 +668,27 @@ class TestSimulateAndCorrelate:
         """At q* = 1e308 the Gram matrices and squares would overflow (the
         run wrote a dead network: q_hat 0.0, sparsity 1.0).  It is computed
         in lengths scaled by a power of two, so with no warning it is the
-        q* = 1 run with q_hat scaled by 1e308."""
+        run at q0 = 1e308 / 4^511 with q_hat scaled by 4^511, bit for bit."""
         out = tmp_path / "s.csv"
         flags = ["--activation", "relu", "--depth", "4", "--width", "8", "--batch", "4",
                  "--seed", "1"]
         proc = run_cli([*command, *flags, "--qstar", "1e308", "--out", str(out)],
                        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
         assert proc.returncode == 0 and proc.stderr == ""
-        config = simulator.SimConfig(init=relu_init(1.0), depth=4, width=8, batch=4, seed=1)
+        config = simulator.SimConfig(init=relu_init(math.ldexp(1e308, -1022)), depth=4,
+                                     width=8, batch=4, seed=1)
         if command[0] == "correlate":
             expected = simulator.run_correlation(config, 0.5)
         else:
             run = simulator.run_backward if "--backward" in command else simulator.run_forward
             expected = run(config)
         for row, st in zip(read_csv(out), expected, strict=True):
-            assert float(row["q_hat"]) / 1e308 == pytest.approx(st.q_hat, rel=1e-12)
+            assert float(row["q_hat"]) == math.ldexp(st.q_hat, 1022)
             assert float(row["sparsity_hat"]) == st.sparsity_hat
-            assert float(row["chi1_hat"]) == pytest.approx(st.chi1_hat, rel=1e-12)
+            assert float(row["chi1_hat"]) == st.chi1_hat
             for column in ("v_hat", "rho_hat"):
                 value = getattr(st, column)
-                if value is None:
-                    assert row[column] == ""
-                else:
-                    assert float(row[column]) == pytest.approx(value, rel=1e-9)
+                assert row[column] == ("" if value is None else repr(value))
 
     def test_qstar_beyond_the_float_range_is_named(self, tmp_path):
         """A layer whose measured variance exceeds the largest float exits 1
@@ -743,6 +820,53 @@ class TestJacobianCommand:
         assert doc["moments"]["m1"] == pytest.approx(1.0)
         assert doc["moments"]["sigma_jjt"] == pytest.approx(20.0)
         assert doc["moments"]["s1"] == -1.0
+
+
+_CRELU = ["--activation", "crelu", "-s", "0.85", "--vprime", "0.7"]
+_CST = ["--activation", "cst", "-s", "0.85", "--vprime", "0.7"]
+_RUN = ["--depth", "5", "--width", "16", "--batch", "4", "--seed", "2"]
+
+# name -> (writes a table, argv from the texts of a variance q(x) and a
+# length l(x) at q* = 4^k q0, and the power of a sweep's value column)
+_COVARIANT_COMMANDS = {
+    "solve-crelu": (False, lambda q, l: ["solve", *_CRELU, "--qstar", q(1.7)]),
+    "solve-cst": (False, lambda q, l: ["solve", *_CST, "--qstar", q(1.7)]),
+    "fixed-points": (False, lambda q, l: ["fixed-points", "--activation", "crelu", "-s", "0.85",
+                                          "--qstar", q(1.7), "--m", l(2.6)]),
+    "nlo": (True, lambda q, l: ["nlo", *_CST, "--qstar", q(1.7), "--depth", "6"]),
+    "jacobian": (False, lambda q, l: ["jacobian", *_CRELU, "--qstar", q(1.7), "--depth", "10"]),
+    "simulate": (True, lambda q, l: ["simulate", *_CRELU, "--qstar", q(1.7), *_RUN]),
+    "simulate-backward": (True, lambda q, l: ["simulate", *_CST, "--qstar", q(1.7), *_RUN,
+                                              "--backward"]),
+    "correlate": (True, lambda q, l: ["correlate", *_CRELU, "--qstar", q(1.7), *_RUN,
+                                      "--rho0", "0.5"]),
+    **{
+        f"sweep-{quantity}": (True, lambda q, l, quantity=quantity: [
+            "sweep", "--quantity", quantity, "--activation", "crelu", "--sparsity", "0.7,0.85",
+            f"--qstar-range={q(0.5)}:{q(3.0)}:4", f"--m-range={l(0.5)}:{l(3.0)}:3",
+            *(["--qstar", q(1.7)] if quantity == "vmap_curve" else [])], power)
+        for quantity, power in (("Vprime", 0), ("Vprimeprime", -2), ("chi1prime", -2),
+                                ("nlo_bound", 2), ("vmap_curve", 2))
+    },
+}
+
+
+class TestQStarIsAUnit:
+    @pytest.mark.parametrize("k", [-500, -250, -1, 1, 250, 500])
+    @pytest.mark.parametrize("name", list(_COVARIANT_COMMANDS))
+    def test_outputs_are_the_q0_outputs_scaled(self, tmp_path, capsys, name, k):
+        """Every command computes at q0 = q* / 4^k in [1, 4) and scales once,
+        so its output at q* = 4^k q0 is its output at q0 with each number
+        scaled by its power of 2^k, bit for bit (``assert_covariant``)."""
+        table, argv, *value_power = _COVARIANT_COMMANDS[name]
+        tmp = tmp_path if table else None
+
+        def run(k):
+            return _run_in_process(argv(lambda x: repr(math.ldexp(x, 2 * k)),
+                                        lambda x: repr(math.ldexp(x, k))), tmp, capsys)
+
+        power = {**_POWER, "value": value_power[0]} if value_power else _POWER
+        assert_covariant(run(k), run(0), k, power=power)
 
 
 @pytest.mark.parametrize("command", ["simulate", "correlate", "sweep", "nlo"])

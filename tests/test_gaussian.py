@@ -1,7 +1,6 @@
 """Tests of the Gaussian expectation engine and normal-law utilities."""
 
 import math
-import re
 import sys
 
 import numpy as np
@@ -68,13 +67,15 @@ class TestGaussExpect:
         with pytest.raises(ValueError):
             gauss_expect(lambda z: z, -1.0)
 
-    def test_subnormal_variance_rejected(self):
-        """A variance below the smallest normal float is refused with a
-        message naming that float; the smallest normal float passes."""
-        tiny = sys.float_info.min
-        assert _check_q(tiny) == tiny
-        for q in (5e-309, 5e-324, np.array([1.0, tiny / 2])):
-            with pytest.raises(ValueError, match=re.escape(f"smallest normal float {tiny!r}")):
+    def test_variance_must_be_positive_and_finite(self):
+        """Every positive finite variance passes, a subnormal one included
+        (it is an exact value, and the kernel computes at its q0 in
+        [1, 4)); zero, negative and non-finite ones are refused."""
+        for q in (sys.float_info.min, 5e-309, 5e-324, 1e308):
+            assert _check_q(q) == q
+        np.testing.assert_array_equal(_check_q(np.array([1.0, 5e-324])), [1.0, 5e-324])
+        for q in (0.0, -1.0, math.inf, math.nan, np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="variance must be positive and finite"):
                 _check_q(q)
 
     def test_non_finite_integrand_rejected(self):

@@ -58,12 +58,35 @@ class TestVarianceMap:
         with pytest.raises(ValueError):
             v_map(ActivationSpec("relu"), 2.0, 0.0, -1.0)
 
-    @pytest.mark.parametrize("q", [0.0, -1.0, 1e-309, math.inf, math.nan])
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
     def test_kernel_constructor_checks_variance(self, q):
         """The bare constructor, which the sweep's q axis and the slope
         solve use, checks q like every other caller."""
         with pytest.raises(ValueError, match="variance must be"):
             _Kernel("crelu", 1.0, 2.0, q)
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    @pytest.mark.parametrize("q", [1e-309, 5e-324, 1e-300, 1e300])
+    def test_kernel_is_the_q0_kernel_scaled(self, kind, q):
+        """A kernel at q = q0 4^k, a subnormal q included, is the kernel at
+        q0 with the same a, b and x, each output scaled once by its power
+        of 4^k: E[phi^2] and E[phi^4] by 4^k and 4^2k, chi1' and V'' by
+        4^-k, and the ratios unchanged."""
+        def scaled(x, power):  # beyond the float range it reads inf
+            try:
+                return math.ldexp(float(x), power * k)
+            except OverflowError:
+                return math.copysign(math.inf, x)
+
+        k = (math.frexp(q)[1] - 1) // 2
+        q0 = math.ldexp(q, -2 * k)
+        at_q = _Kernel(kind, math.ldexp(0.9, k), math.ldexp(1.6, k), q)
+        at_q0 = _Kernel(kind, 0.9, 1.6, q0)
+        assert 1.0 <= at_q.q0 == q0 < 4.0
+        for name, power in (("second", 2), ("fourth", 4)):
+            assert getattr(at_q, name) == scaled(getattr(at_q0, name), power)
+        for name, power in (("chi1_prime", -2), ("v_prime2", -2), ("v_prime", 0), ("chi1", 0)):
+            assert getattr(at_q, name)(1.3) == scaled(getattr(at_q0, name)(1.3), power)
 
 
 class TestArrayInput:
@@ -315,6 +338,23 @@ class TestFloatRange:
             far, unclipped = fields(m), fields(40.0)
         assert far == unclipped
         assert all(math.isfinite(v) for v in far)
+
+
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    @pytest.mark.parametrize("q", [1e-300, 2.3e-308, 5e-324])
+    def test_threshold_without_mass_is_a_dead_segment(self, kind, q):
+        """Where q is so far below tau^2 that g(a) is 0, a = tau / sqrt(q)
+        can pass 1e154: a^2 and x (1 - b^2) overflowed and met g(a) = 0 as
+        inf * 0 (V'' at 1e-300 and V at 2.3e-308 read nan).  The segment
+        has no mass in float, so V reads sb2 and every slope 0, with no
+        warning."""
+        init = solve_init(kind, 0.85, 100.0, 0.7)
+        spec, sw2 = init.spec, init.sw2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert v_map(spec, sw2, init.sb2, q) == init.sb2
+            for f in (v_prime, v_prime2, chi1_prime, chi1):
+                assert f(spec, sw2, q) == 0.0
 
 
 class TestSensitivityAcrossFixedPoints:

@@ -360,48 +360,38 @@ class TestBackwardState:
 
     @pytest.mark.parametrize("kind", ["crelu", "cst"])
     def test_runs_are_scale_invariant(self, kind):
-        """A run at q* = 2^-400 or 2^400 is the run at q* = 1 with lengths
-        scaled by a power of two, so q_hat / q*, sparsity and v_hat agree.
-        Further out LAPACK's eigh rescales the Gram matrix by a factor that
-        is not a power of two, and the backward pass amplifies the last-bit
-        differences that leaves (the forward check is the next test)."""
+        """A run at q* = 2^-400 or 2^400 is computed at q0 = 1, so it is the
+        run at q* = 1 with q_hat scaled by q*, bit for bit, backward too."""
         base = solve_init(kind, 0.85, 1.0, 0.7)
         ref = run_backward(SimConfig(init=base, depth=8, width=64, batch=8, seed=11))
         for c in (2.0 ** -200, 2.0 ** 200):
             init = scaled_lengths(base, c)
             run = run_backward(SimConfig(init=init, depth=8, width=64, batch=8, seed=11))
-            for st, st_ref in zip(run, ref):
-                assert st.q_hat / init.q_star == pytest.approx(st_ref.q_hat, rel=1e-12)
-                assert st.sparsity_hat == st_ref.sparsity_hat
-                assert st.v_hat == pytest.approx(st_ref.v_hat, rel=1e-9)
+            assert run == [replace(st, q_hat=st.q_hat * init.q_star) for st in ref]
 
     @pytest.mark.parametrize("kind", ["crelu", "cst"])
     def test_forward_and_correlate_are_scale_invariant_far_out(self, kind):
-        """At q* = 1e-150 and 1e150 eigh's eigenvectors differ from the
-        q* = 1 ones in their last bits, and their signs would flip under
-        that: with the sign convention the run is still the scaled q* = 1
-        run, at every seed.  Without it 26 of these 120 runs were another
-        draw, up to 0.43 off in q_hat / q* and 0.018 in rho_hat."""
+        """At q* = 2^-498 and 2^498 (about 1e-150 and 1e150) forward and
+        correlate runs are the q* = 1 run with q_hat scaled by q*, bit for
+        bit, at every seed.  They were equal to 1e-11 only: the runs were
+        computed at q*, where eigh's eigenvectors differ from the q* = 1
+        ones in their last bits."""
         base = solve_init(kind, 0.85, 1.0, 0.7)
         for seed in range(30):
             config = SimConfig(init=base, depth=8, width=64, batch=8, seed=seed)
             ref_fwd, ref_cor = run_forward(config), run_correlation(config, 0.5)
-            for c in (1e-75, 1e75):
+            for c in (2.0 ** -249, 2.0 ** 249):
                 init = scaled_lengths(base, c)
                 scaled = replace(config, init=init)
                 for run, ref in ((run_forward(scaled), ref_fwd),
                                  (run_correlation(scaled, 0.5), ref_cor)):
-                    for st, st_ref in zip(run, ref):
-                        assert st.q_hat / init.q_star == pytest.approx(st_ref.q_hat, rel=1e-11)
-                        assert st.sparsity_hat == st_ref.sparsity_hat
-                        if st.rho_hat is not None:
-                            assert st.rho_hat == pytest.approx(st_ref.rho_hat, abs=1e-10)
+                    assert run == [replace(st, q_hat=st.q_hat * init.q_star) for st in ref]
 
     def test_huge_input_variance_keeps_a_tiny_qstar(self):
-        """Inputs at 1e300 into a network at q* = 1e-300: lengths scaled to
-        bring 1e300 within 2^400 would take q* out of the float range, so
-        the run is not rescaled and every layer is alive.  Inputs at 1e308
-        into q* = 1 are rescaled, where the Gram matrix overflowed."""
+        """Inputs at 1e300 into a network at q* = 1e-300, and at 1e308 into
+        q* = 1, where the Gram matrix overflowed: lengths scaled by 2^-k,
+        k = (e_q* + e_v) // 4, put the two variances either side of 1 alike,
+        so every layer is alive."""
         for q_star, variance in ((1e-300, 1e300), (1.0, 1e308)):
             init = solve_init("crelu", 0.85, q_star, 0.7)
             config = SimConfig(init=init, depth=4, width=8, batch=4, seed=1,
@@ -473,6 +463,14 @@ class TestCorrelation:
         for rho0 in (1.5, -1.5, math.nan):
             with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
                 run_correlation(config, rho0)
+
+    def test_input_variance_is_refused(self):
+        """Both inputs are drawn at q*, so an input variance would only move
+        the run's scaling: at 1e300 it changed q_hat in its last digit."""
+        config = SimConfig(init=solve_init("crelu", 0.85, 1.0, 0.7), depth=3, width=8,
+                           batch=4, seed=1, input_variance=1e300)
+        with pytest.raises(ValueError, match="input_variance must be None"):
+            run_correlation(config, 0.5)
 
 
 class TestWidthScaling:

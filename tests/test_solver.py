@@ -13,6 +13,7 @@ from eoc_lab.gaussian import normal_quantile
 from eoc_lab.maps import chi1, v_map, v_prime, v_prime2
 from eoc_lab.solver import (
     EocInit,
+    FixedPoint,
     InfeasibleTargetError,
     find_fixed_points,
     init_from_m,
@@ -206,8 +207,9 @@ class TestSolveInit:
     def test_negative_bias_variance_branch_raises(self, monkeypatch):
         from eoc_lab import _moments
 
-        # E[phi^2] is the kernel's ``second``; inflate it past what sw2 allows
-        monkeypatch.setattr(_moments._Kernel, "second", property(lambda self: 1e9))
+        # sb2 is subtracted at q0 from the kernel's ``second_at_q0``; inflate
+        # it past what sw2 allows
+        monkeypatch.setattr(_moments._Kernel, "second_at_q0", property(lambda self: 1e9))
         with pytest.raises(InfeasibleTargetError, match="negative"):
             init_from_m("crelu", 0.6, 1.0, 1.0)
 
@@ -260,7 +262,7 @@ class TestReluInit:
         assert chi1(init.spec, init.sw2, 3.0) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "q", [2.2250738585072014e-308, 2.5e-308, 3e-308, 4.4e-308,
+        "q", [5e-324, 5e-309, 2.2250738585072014e-308, 2.5e-308, 3e-308, 4.4e-308,
               1e-300, 1e-150, 1e-12, 0.3, 1.0, 3.7, 1e6, 1e150, 1e300])
     def test_exact_across_the_float_range(self, q):
         assert relu_init(q) == EocInit(ActivationSpec("relu"), q, 2.0, 0.0, 0.5, 1.0)
@@ -289,7 +291,7 @@ class TestFixedPoints:
         report = find_fixed_points(init, lo=0.1, hi=10.0)
         assert [p.q for p in report.points] == [pytest.approx(1.0, abs=1e-9)]
 
-    @pytest.mark.parametrize("q_star", [1e-150, 1e-12, 1e-6, 1.0, 1e6, 1e150])
+    @pytest.mark.parametrize("q_star", [3e-308, 1e-150, 1e-12, 1e-6, 1.0, 1e6, 1e150])
     def test_search_is_scale_invariant(self, q_star):
         init = init_from_m("crelu", 0.85, q_star, 2.0 * math.sqrt(q_star))
         report = find_fixed_points(init)
@@ -306,13 +308,25 @@ class TestFixedPoints:
         report = find_fixed_points(init, lo=0.5, hi=hi)
         assert [p.q for p in report.points] == [1.0, hi]
 
-    def test_subnormal_lower_end_names_lo(self):
-        """A lower end below the smallest normal float, the q*/20 default
-        or a given one, is refused as --lo, not as a variance."""
+    def test_subnormal_lower_end_is_the_q0_search(self):
+        """A subnormal lower end, the q*/20 default or a given one, is a
+        variance like any other (it was refused as --lo): the report is
+        the q0 report scaled, each end rounded once.  A lower end that is
+        not positive is refused as --lo."""
+        q_star = 1e-307
+        k = (math.frexp(q_star)[1] - 1) // 2
+        report = find_fixed_points(relu_init(q_star))
+        at_q0 = find_fixed_points(relu_init(math.ldexp(q_star, -2 * k)))
+        assert report.degenerate_line and report.points == (FixedPoint(q_star, 1.0, False),)
+        for end, end0 in zip(report.search_interval, at_q0.search_interval):
+            assert abs(end - math.ldexp(end0, 2 * k)) <= math.ulp(0.0)
+        init = init_from_m("crelu", 0.85, 1.0, 2.0)
+        given = find_fixed_points(init, lo=1e-310, hi=10.0)
+        assert [p.q for p in given.points] == [
+            pytest.approx(p.q, rel=1e-12) for p in find_fixed_points(init, lo=0.1, hi=10.0).points
+        ]
         with pytest.raises(ValueError, match="--lo"):
-            find_fixed_points(relu_init(1e-307))
-        with pytest.raises(ValueError, match="--lo"):
-            find_fixed_points(init_from_m("crelu", 0.85, 1.0, 2.0), lo=1e-310)
+            find_fixed_points(init, lo=0.0)
 
     def test_interval_validation(self):
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
