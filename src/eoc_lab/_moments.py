@@ -58,6 +58,19 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _in_units(q):
+    """(q0, k) with q = q0 4^k and q0 in [1, 4), over arrays too."""
+    k = (np.frexp(q)[1] - 1) // 2
+    return np.ldexp(q, -2 * k), k
+
+
+def _root(q, c, z):
+    """z sqrt(c q), formed at q0 and scaled once by 2^k, so that c q is
+    never rounded as a subnormal and never overflows."""
+    q0, k = _in_units(q)
+    return np.ldexp(np.sqrt(c * q0) * z, k)
+
+
 class _Kernel:
     """Closed forms of one activation family at variance q, over arrays.
 
@@ -68,8 +81,7 @@ class _Kernel:
     @np.errstate(over="ignore")
     def __init__(self, kind: str, tau, m, q):
         self.kind, self.q = kind, _check_q(q)
-        self._k = (np.frexp(self.q)[1] - 1) // 2
-        self.q0 = np.ldexp(self.q, -2 * self._k)
+        self.q0, self._k = _in_units(self.q)
         sq = np.sqrt(self.q)
         self.a, self.b, self.x = tau / sq, (tau + m) / sq, m / sq
         self.ga, self.gb = _pdf(self.a), _pdf(self.b)
@@ -134,8 +146,8 @@ class _Kernel:
     # moments of phi and phi'
 
     @property
-    def second_at_q0(self):
-        """E[phi(z)^2] at q0, which is E[phi^2] / 4^k."""
+    def _second0(self):
+        # E[phi(z)^2] at q0, which is E[phi^2] / 4^k
         a, x = self.a, self.x
         return self._family(
             self.q0 * (self.i2 - 2.0 * a * self.i1 + a * a * self.i0 + x * x * self.tail)
@@ -144,7 +156,7 @@ class _Kernel:
     @property
     def second(self):
         """E[phi(z)^2]."""
-        return self._scaled(self.second_at_q0, 1)
+        return self._scaled(self._second0, 1)
 
     @property
     def fourth(self):
@@ -165,8 +177,13 @@ class _Kernel:
 
     # the variance map, its derivatives and the growth factor
 
+    @np.errstate(over="ignore")
     def v(self, sw2, sb2):
         return sw2 * self.second + sb2
+
+    def bias_variance(self, sw2):
+        """q - sw2 E[phi^2], the sb2 placing a fixed point at q, scaled once."""
+        return self._scaled(self.q0 - sw2 * self._second0, 1)
 
     def chi1(self, sw2):
         return sw2 * self.linear

@@ -18,17 +18,9 @@ q-sensitivity, all closed forms from the kernel in :mod:`eoc_lab._moments`;
 they accept a numpy array of q and return an array of the same shape, or a
 float for scalar q.
 
-Closed forms (one-sided family with threshold tau and clip m; the two-sided
-family is exactly twice each expression at identical parameters; relu is the
-tau = 0, m -> inf limit):
-
-    chi1(q)  = (sw2 / 2) [erf((tau+m)/sqrt(2q)) - erf(tau/sqrt(2q))]
-    V'(q)    = chi1(q) - sw2 * m / sqrt(2 pi q) * exp(-(tau+m)^2 / (2q))
-    chi1'(q) = (sw2 / sqrt(8 pi q^3)) [tau e^(-tau^2/2q) - (tau+m) e^(-(tau+m)^2/2q)]
-    V''(q)   = chi1'(q) - (sw2 m / sqrt(8 pi q^3)) ((tau+m)^2 / q - 1) e^(-(tau+m)^2/2q)
-
-The chi1 / V' and chi1' / V'' offsets above are exact identities, not
-approximations, and the test suite pins them to 1e-10.
+The closed forms, in the coordinates of the linear segment, and the exact
+identities between chi1 and V' and between chi1' and V'' are written out
+there; the test suite holds them against quadrature.
 """
 
 from __future__ import annotations

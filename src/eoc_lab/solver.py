@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import maps
-from ._moments import _Kernel, _value
+from ._moments import _Kernel, _root, _value
 from .activations import CRELU, CST, RELU, ActivationSpec
 from .gaussian import _check_q, erf_inv, normal_quantile
 
@@ -138,10 +138,9 @@ def sparsity_threshold(kind: str, s: float, q_star):
                 f"crelu needs sparsity s >= 0.5, got s={s}: below 0.5 its "
                 f"threshold sqrt(q*) Phi^-1(s) would be negative"
             )
-        return _value(np.sqrt(q_star) * normal_quantile(s))
+        return _value(_root(q_star, 1.0, normal_quantile(s)))
     if kind == CST:
-        # sqrt(q*/2) 2 is sqrt(2 q*) exactly, and 2 q* overflows above 9e307
-        return _value(np.sqrt(0.5 * q_star) * (2.0 * erf_inv(s)))
+        return _value(_root(q_star, 2.0, erf_inv(s)))
     if kind == RELU:
         return 0.0
     raise ValueError(f"unknown activation kind {kind!r}")
@@ -151,12 +150,11 @@ def _critical(k: _Kernel):
     """Gain and bias variance of the critical initialisation, per cell.
 
     ``k`` is the kernel at q*; sw2 = 1 / P(phi' = 1) makes chi1(q*) = 1 and
-    sb2 = q* - sw2 E[phi^2] places the fixed point; it is subtracted at q0
-    and scaled once, so it is exactly 4^k times its q0 value.
+    sb2 = q* - sw2 E[phi^2] places the fixed point.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sw2 = 1.0 / k.linear
-        return sw2, k._scaled(k.q0 - sw2 * k.second_at_q0, 1)
+        return sw2, k.bias_variance(sw2)
 
 
 def _failure(k: _Kernel, sw2, sb2, q_star):
@@ -166,6 +164,7 @@ def _failure(k: _Kernel, sw2, sb2, q_star):
     cells that meet every condition read -1.  The solver raises from this
     predicate and the sweep masks with it, so both apply the same rules.
     A nan fails the tolerance tests, so a nan sb2 reaches the V test.
+    V(q*) - q* is sw2 E[phi^2] - (q* - sb2), finite where V(q*) overflows.
     """
     v_tol = _FIXED_POINT_TOL * np.maximum(1.0, q_star)
     with np.errstate(invalid="ignore"):
@@ -174,7 +173,7 @@ def _failure(k: _Kernel, sw2, sb2, q_star):
                 np.logical_not(k.linear > 0.0),
                 sb2 < 0.0,
                 np.logical_not(np.abs(k.chi1(sw2) - 1.0) <= _FIXED_POINT_TOL),
-                np.logical_not(np.abs(k.v(sw2, sb2) - q_star) <= v_tol),
+                np.logical_not(np.abs(sw2 * k.second - (q_star - sb2)) <= v_tol),
             ],
             range(len(_INFEASIBLE)),
             -1,
@@ -218,19 +217,10 @@ def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
     if failure >= 0:
         with np.errstate(invalid="ignore"):
             chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
-        raise InfeasibleTargetError(
-            _INFEASIBLE[failure].format(
-                sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL
-            )
-        )
-    return EocInit(
-        spec=spec,
-        q_star=q_star,
-        sw2=float(sw2),
-        sb2=float(sb2),
-        s=s,
-        v_prime_at_fp=float(k.v_prime(sw2)),
-    )
+        raise InfeasibleTargetError(_INFEASIBLE[failure].format(
+            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL))
+    return EocInit(spec=spec, q_star=q_star, sw2=float(sw2), sb2=float(sb2), s=s,
+                   v_prime_at_fp=float(k.v_prime(sw2)))
 
 
 def solve_init(kind: str, s: float, q_star: float, v_prime_target: float) -> EocInit:
@@ -310,15 +300,13 @@ def find_fixed_points(
     A sign scan on a dense grid brackets each root and bisection refines
     it to the last bit.  Every tolerance is relative to q, so the search
     is the same at every scale of q*.  The anchoring fixed point q* is
-    always included.
+    always included.  The default [q*/20, 20 q*] is clamped to the floats.
     """
-    lo = init.q_star / 20.0 if lo is None else float(lo)
-    hi = init.q_star * 20.0 if hi is None else float(hi)
-    if not (0.0 < lo < init.q_star < hi):
-        raise ValueError(
-            f"need 0 < lo < q* < hi, got --lo {lo!r} (q*/20 by default),"
-            f" q* {init.q_star!r}, --hi {hi!r}"
-        )
+    lo = max(init.q_star / 20.0, math.ulp(0.0)) if lo is None else float(lo)
+    hi = min(init.q_star * 20.0, math.nextafter(math.inf, 0.0)) if hi is None else float(hi)
+    if not (0.0 < lo <= init.q_star <= hi and lo < hi):
+        raise ValueError(f"need 0 < lo <= q* <= hi with lo < hi, got --lo {lo!r} (q*/20 by"
+                         f" default), q* {init.q_star!r}, --hi {hi!r} (20 q* by default)")
     if not math.isfinite(hi):
         raise ValueError(f"hi must be finite, got {hi}")
 
@@ -327,7 +315,8 @@ def find_fixed_points(
     def resid(q):
         return maps.v_map(spec, sw2, sb2, q) - q
 
-    qs = np.linspace(lo, hi, _FP_GRID + 1)
+    with np.errstate(over="ignore"):  # only the last point, set to hi, can overflow
+        qs = np.linspace(lo, hi, _FP_GRID + 1)
     vals = resid(qs)
 
     if np.all(np.abs(vals) <= 1e-9 * qs):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,11 +210,31 @@ class TestSolveInit:
     def test_negative_bias_variance_branch_raises(self, monkeypatch):
         from eoc_lab import _moments
 
-        # sb2 is subtracted at q0 from the kernel's ``second_at_q0``; inflate
-        # it past what sw2 allows
-        monkeypatch.setattr(_moments._Kernel, "second_at_q0", property(lambda self: 1e9))
+        # sb2 is the kernel's bias_variance, subtracted at q0 from E[phi^2]
+        # at q0; inflate that past what sw2 allows
+        monkeypatch.setattr(_moments._Kernel, "_second0", property(lambda self: 1e9))
         with pytest.raises(InfeasibleTargetError, match="negative"):
             init_from_m("crelu", 0.6, 1.0, 1.0)
+
+    @pytest.mark.parametrize("q_star", [5e-324, 1.5e-323, 5e-309])
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_subnormal_qstar_is_the_q0_init_scaled(self, kind, q_star):
+        """At a subnormal q* = 4^k q0 the threshold and clip level are their
+        q0 values times 2^k and sb2 its q0 value times 4^k, rounded once.
+        The threshold is formed at q0: sqrt(2 q*) rounds 2 q* first, which
+        made tau 0 at 5e-324 and 18 % off at 1.5e-323."""
+        k = (math.frexp(q_star)[1] - 1) // 2
+        q0 = math.ldexp(q_star, -2 * k)
+        for make, last, last_power in ((solve_init, 0.7, 0), (init_from_m, 2.6, 1)):
+            at_q0 = make(kind, 0.85, q0, last)
+            init = make(kind, 0.85, q_star, math.ldexp(last, last_power * k))
+            spec = ActivationSpec(kind, math.ldexp(at_q0.spec.tau, k),
+                                  math.ldexp(at_q0.spec.m, k))
+            assert init == replace(at_q0, spec=spec, q_star=q_star,
+                                   sb2=math.ldexp(at_q0.sb2, 2 * k))
+            assert sparsity_threshold(kind, 0.85, q_star) == spec.tau > 0.0
+            assert sparsity_threshold(kind, 0.85, np.array([q_star, q0])).tolist() == [
+                spec.tau, at_q0.spec.tau]
 
     def test_init_from_m_names_relu_as_unclipped(self):
         with pytest.raises(ValueError, match=r"clipped families .* use relu_init"):
@@ -224,7 +247,7 @@ class TestSolveInit:
         so the V condition names it instead of returning the init."""
         from eoc_lab import _moments
 
-        monkeypatch.setattr(_moments._Kernel, "second", property(lambda self: math.nan))
+        monkeypatch.setattr(_moments._Kernel, "_second0", property(lambda self: math.nan))
         with pytest.raises(InfeasibleTargetError, match=r"V\(q\*\) = nan deviates from q\*"):
             init_from_m("crelu", 0.85, 1.0, 2.0)
 
@@ -327,6 +350,20 @@ class TestFixedPoints:
         ]
         with pytest.raises(ValueError, match="--lo"):
             find_fixed_points(init, lo=0.0)
+
+    @pytest.mark.parametrize("q_star", [5e-324, 1.5e-323, 9e306, sys.float_info.max])
+    def test_default_interval_is_held_in_the_float_range(self, q_star):
+        """[q*/20, 20 q*] starts at the smallest subnormal where q*/20
+        rounds to 0 (at q* = 5e-324 it starts at q*) and ends at the
+        largest float where 20 q* overflows; the search runs without a
+        RuntimeWarning and reports q*."""
+        for init in (relu_init(q_star), init_from_m("cst", 0.85, q_star, 2.6 * math.sqrt(q_star))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = find_fixed_points(init)
+            assert report.search_interval == (max(q_star / 20.0, math.ulp(0.0)),
+                                              min(q_star * 20.0, sys.float_info.max))
+            assert q_star in [p.q for p in report.points]
 
     def test_interval_validation(self):
         init = init_from_m("crelu", 0.85, 1.0, 1.2)
