@@ -19,9 +19,9 @@ normals instead of N x N, exact in law.  ``run_backward`` pulls an error
 down through the same layers by drawing the weights' product with the
 error from their law given the forward draw h (Gaussian conditioning),
 from the same factor and again without the N x N matrix.  It keeps only
-the two rows x rows factors of each layer and rebuilds h on the way down
-from the factor and the layer's keyed stream, the same expression on the
-same operands as the forward draw, so bit for bit.
+one eigenbasis of each layer, rows x rows and rows floats, and rebuilds h on
+the way down from it and the layer's keyed stream, the same expression on
+the same operands as the forward draw, so bit for bit.
 
 Randomness comes from counter-based Philox streams keyed by (seed, layer,
 stream tag), so runs are bit-reproducible and changing the width re-draws a
@@ -123,21 +123,22 @@ def _design(init: EocInit, layer: int, x: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the Gram matrix a a^T = U diag(lam) U^T with one eigh.
+    """The eigenbasis (U, s) of the Gram matrix a a^T = U diag(lam) U^T,
+    from one eigh: s = sqrt(lam) on the kept directions and 0 on the others,
+    so U s is a root of a a^T.
 
-    Returns (U sqrt(lam keep), U keep / sqrt(lam)).  ``keep`` is the rule
-    ``np.linalg.matrix_rank`` applies to a symmetric matrix, lam > lam_max
-    rows eps: the directions it drops carry round-off, not variance, so
-    duplicate rows, a dead layer (a = 0 keeps nothing) and more rows than
-    columns need no special case.  Each eigenvector's largest-magnitude
-    entry is made positive: eigh's signs flip under last-bit changes of
-    the Gram matrix, which would make a rescaled run another draw.
+    ``keep`` is the rule ``np.linalg.matrix_rank`` applies to a symmetric
+    matrix, lam > lam_max rows eps: the directions it drops carry round-off,
+    not variance, so duplicate rows, a dead layer (a = 0 keeps nothing) and
+    more rows than columns need no special case.  Each eigenvector's
+    largest-magnitude entry is made positive: eigh's signs flip under
+    last-bit changes of the Gram matrix, which would make a rescaled run
+    another draw.
     """
     lam, u = np.linalg.eigh(a @ a.T)
     u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(lam.size)])
     keep = lam > lam[-1] * lam.size * _EPS
-    root = np.sqrt(np.where(keep, lam, 1.0))
-    return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)
+    return u, np.sqrt(np.where(keep, lam, 0.0))
 
 
 def _draw(config: SimConfig, layer: int, root: np.ndarray) -> np.ndarray:
@@ -148,25 +149,25 @@ def _draw(config: SimConfig, layer: int, root: np.ndarray) -> np.ndarray:
     return root @ z
 
 
-def _conditional_pass(config: SimConfig, x0: np.ndarray):
-    """Propagate a (rows, width) input; yields (layer, h, x, root, w).
+def _conditional_pass(config: SimConfig, x: np.ndarray):
+    """Propagate a (rows, width) input; yields (layer, h, x, u, s).
 
     Each layer's pre-activations are drawn from their law given the
-    activations below: with A = ``_design(...)`` and A A^T = U diag(lam)
-    U^T, the columns of h = root Z, root = U sqrt(lam keep), for standard
-    normal (rows, N) Z have covariance A A^T up to the round-off
-    directions the rank rule drops.  w = U keep / sqrt(lam), a rows x rows
-    matrix, is what ``run_backward`` needs of the factor besides h: A^T w
-    spans the parameter directions the draw fixed, and w^T h recovers Z
-    on them.  Z is not kept past its layer: ``_draw`` makes it again.
+    activations below: with A = ``_design(...)`` and (u, s) the eigenbasis
+    of A A^T from ``_gram_factor``, the columns of h = (u s) Z for standard
+    normal (rows, N) Z have covariance A A^T up to the round-off directions
+    the rank rule drops.  (u, s), rows x rows and rows floats, is all that
+    ``run_backward`` keeps of a layer: u s draws h again, and ``_pull_down``
+    forms w = u / s on the kept directions, for which A^T w spans the
+    parameter directions the draw fixed and w^T h recovers Z on them.
+    Z is not kept past its layer, nor the input past layer 1.
     """
     init = config.init
-    x = x0
     for layer in range(1, config.depth + 1):
-        root, w = _gram_factor(_design(init, layer, x))
-        h = _draw(config, layer, root)
+        u, s = _gram_factor(_design(init, layer, x))
+        h = _draw(config, layer, u * s)
         x = init.spec.evaluate(h)
-        yield layer, h, x, root, w
+        yield layer, h, x, u, s
 
 
 def _layer_stats(init: EocInit, layer: int, h: np.ndarray, x: np.ndarray) -> LayerStats:
@@ -230,29 +231,33 @@ def _in_safe_units(run):
 @_in_safe_units
 def run_forward(config: SimConfig) -> list[LayerStats]:
     """Forward propagation statistics, deterministic in the seed."""
-    x0 = _draw_inputs(config)
     return [_layer_stats(config.init, layer, h, x)
-            for layer, h, x, *_ in _conditional_pass(config, x0)]
+            for layer, h, x, *_ in _conditional_pass(config, _draw_inputs(config))]
 
 
-def _pull_down(a: np.ndarray, w: np.ndarray, h: np.ndarray, delta: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
+def _pull_down(a: np.ndarray, u: np.ndarray, s: np.ndarray, h_delta: np.ndarray,
+               delta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """theta delta^T for one layer, drawn from its law given the layer's
-    forward draw h = A theta (A, w and h as ``_conditional_pass`` used and
-    yielded them).
+    forward draw h = A theta, from h_delta = h delta^T (A and the
+    eigenbasis (u, s) of A A^T as ``_conditional_pass`` used and yielded
+    them).
 
-    The draw fixed theta along V = A^T w, as V^T theta = w^T h on the kept
-    directions, so theta = V w^T h + (I - V V^T) theta' with theta' fresh;
-    and theta' delta^T has the law of F = Y L^T for a standard normal Y and
-    L L^T = delta delta^T from ``_gram_factor(delta)``.  Hence
-    theta delta^T = A^T w (w^T (h delta^T - A F)) + F, with one fresh
-    normal per parameter row and error row, no solve and no w w^T formed;
-    A (theta delta^T) = h delta^T holds to round-off because the forward
-    draw and this step share one ``keep`` mask through w.
+    With w = u / s on the kept directions (0 on the others), the draw fixed
+    theta along V = A^T w, as V^T theta = w^T h, so theta = V w^T h +
+    (I - V V^T) theta' with theta' fresh; and theta' delta^T has the law
+    of F = Y L^T for a standard normal Y and L L^T = delta delta^T from
+    ``_gram_factor(delta)``.  Hence theta delta^T = A^T w (w^T (h delta^T -
+    A F)) + F, with one fresh normal per parameter row and error row, no
+    solve and no w w^T formed; A (theta delta^T) = h delta^T holds to
+    round-off because the forward draw and this step keep the same
+    directions, those where s > 0.
     """
-    root_delta, _ = _gram_factor(delta)
-    fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ root_delta.T
-    return a.T @ (w @ (w.T @ (h @ delta.T - a @ fresh))) + fresh
+    u_delta, s_delta = _gram_factor(delta)
+    fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ (u_delta * s_delta).T
+    w = u * np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+    theta_delta = a.T @ (w @ (w.T @ (h_delta - a @ fresh)))
+    theta_delta += fresh
+    return theta_delta
 
 
 @_in_safe_units
@@ -263,33 +268,37 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     pulled down through transposed weights and the activation-derivative
     diagonal; no loss function is involved.  Each layer's weights times the
     error come from ``_pull_down``, given the forward draw.  Per-layer state
-    is the two rows x rows factors (root, w), popped top-down, and only the
-    top layer's h outlives the forward pass: each layer below is rebuilt
-    once by ``_draw`` from its root, bit for bit the forward draw, and its
-    activations, which A is built from, are recomputed from it.
+    is one eigenbasis (u, s), batch x batch and batch floats, popped
+    top-down, and only the top layer's h outlives the forward pass: each
+    layer below is drawn again once by ``_draw`` from u s, bit for bit the
+    forward draw, and its activations, which A is built from, are
+    recomputed from it.  A batch x width array is let go as soon as it is
+    not read again, so the way down holds the error, one h and the pull-down
+    arrays of one layer.
     """
     n = config.width
     init = config.init
-    x0 = _draw_inputs(config)
-    stats, factors = [], []
-    for layer, h, x, root, w in _conditional_pass(config, x0):
+    stats, bases = [], []
+    for layer, h, x, u, s in _conditional_pass(config, _draw_inputs(config)):
         stats.append(_layer_stats(init, layer, h, x))
-        factors.append((root, w))
+        bases.append((u, s))
+    del x
 
     rng = _layer_rng(config.seed, config.depth + 1, _STREAM_TOP_ERROR)
     delta = rng.normal(0.0, 1.0, size=(config.batch, config.width))
     v_hat = [float(np.mean(delta * delta))]
     scale = math.sqrt(init.sw2 / n)
     for layer in range(config.depth, 1, -1):
-        _, w = factors.pop()
-        h_below = _draw(config, layer - 1, factors[-1][0])
-        theta_delta = _pull_down(
-            _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
+        h_delta = h @ delta.T
+        del h
+        (u, s), (u_below, s_below) = bases.pop(), bases[-1]
+        h = _draw(config, layer - 1, u_below * s_below)
+        # theta delta^T is not bound: it goes once its error rows are scaled
+        delta = scale * _pull_down(
+            _design(init, layer, init.spec.evaluate(h)), u, s, h_delta, delta,
             _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
-        )
-        delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
+        )[:n].T * init.spec.segment_mask(h)
         v_hat.append(float(np.mean(delta * delta)))
-        h = h_below
 
     return [replace(st, v_hat=v) for st, v in zip(stats, reversed(v_hat))]
 

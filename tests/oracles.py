@@ -31,14 +31,13 @@ from eoc_lab.maps import v_prime2
 from eoc_lab.simulator import (
     _STREAM_COMPLEMENT,
     _STREAM_TOP_ERROR,
+    _STREAM_WEIGHTS,
     _check_rho,
-    _conditional_pass,
     _design,
     _draw_inputs,
     _in_safe_units,
     _layer_rng,
     _layer_stats,
-    _pull_down,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -224,15 +223,33 @@ def dense_backward(init, states, delta):
     return v_hat[::-1]
 
 
+def _root_and_inverse_root(a):
+    """(U sqrt(lam keep), U keep / sqrt(lam)) of a a^T = U diag(lam) U^T:
+    a root of the Gram matrix and its pseudo-inverse root, both formed at
+    once, with the rank rule and eigenvector signs of
+    ``simulator._gram_factor``."""
+    lam, u = np.linalg.eigh(a @ a.T)
+    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(lam.size)])
+    keep = lam > lam[-1] * lam.size * np.finfo(float).eps
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)
+
+
 @_in_safe_units
 def backward_keeping_h(config):
-    """``run_backward`` with every layer's pre-activations h kept from the
-    forward pass, as (h, w), where the library keeps the factors and draws
-    h again on the way down."""
+    """``run_backward`` written out with every layer's pre-activations h
+    kept from the forward pass and its factors (root, w) formed at once,
+    where the library keeps one eigenbasis, forms root and w where they
+    are used and draws h again on the way down."""
     n = config.width
     init = config.init
     stats, states = [], []
-    for layer, h, x, _, w in _conditional_pass(config, _draw_inputs(config)):
+    x = _draw_inputs(config)
+    for layer in range(1, config.depth + 1):
+        root, w = _root_and_inverse_root(_design(init, layer, x))
+        z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal((config.batch, n))
+        h = root @ z
+        x = init.spec.evaluate(h)
         stats.append(_layer_stats(init, layer, h, x))
         states.append((h, w))
 
@@ -243,10 +260,11 @@ def backward_keeping_h(config):
     for layer in range(config.depth, 1, -1):
         h, w = states.pop()
         h_below = states[-1][0]
-        theta_delta = _pull_down(
-            _design(init, layer, init.spec.evaluate(h_below)), w, h, delta,
-            _layer_rng(config.seed, layer, _STREAM_COMPLEMENT),
-        )
+        a = _design(init, layer, init.spec.evaluate(h_below))
+        root_delta, _ = _root_and_inverse_root(delta)
+        fresh = _layer_rng(config.seed, layer, _STREAM_COMPLEMENT).standard_normal(
+            (n + 1, config.batch)) @ root_delta.T
+        theta_delta = a.T @ (w @ (w.T @ (h @ delta.T - a @ fresh))) + fresh
         delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
         v_hat.append(float(np.mean(delta * delta)))
 

@@ -1,5 +1,6 @@
 """Tests of the finite-width Monte Carlo simulator."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eoc_lab import cli
 from eoc_lab.activations import ActivationSpec
 from eoc_lab.maps import chi1
 from eoc_lab.simulator import (
@@ -181,9 +183,10 @@ class TestConditioning:
     def assert_conditioned(config, x0):
         states = list(_conditional_pass(config, x0))
         delta = np.random.default_rng(config.seed).standard_normal(x0.shape)
-        for (_, _, x_below, *_), (layer, h, _, _, w) in zip(states, states[1:]):
+        for (_, _, x_below, *_), (layer, h, _, u, s) in zip(states, states[1:]):
             a = _design(config.init, layer, x_below)
-            theta_delta = _pull_down(a, w, h, delta, np.random.default_rng([config.seed, layer]))
+            theta_delta = _pull_down(a, u, s, h @ delta.T, delta,
+                                     np.random.default_rng([config.seed, layer]))
             gap = np.linalg.norm(a @ theta_delta - h @ delta.T)
             assert gap <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(theta_delta), layer
         return states
@@ -315,14 +318,75 @@ def scaled_lengths(init, c):
                    sb2=init.sb2 * c * c, s=init.s, v_prime_at_fp=init.v_prime_at_fp)
 
 
+# sha256 of the CSVs of small simulate, simulate --backward and correlate
+# runs, recorded while each backward layer still kept its two factors
+# (root, w) and the backward loop its dead batch x width arrays (x86-64,
+# numpy 2.4 with OpenBLAS).  backward-deep drops round-off directions in 64
+# of its 79 Gram factors; dead-layer's inputs are so small that layers 1 and
+# 2 read sparsity 1.
+_CRELU = ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7"]
+_SHAPE = ["--depth", "6", "--width", "64", "--batch", "8", "--seed", "7"]
+_GOLDEN = {
+    "simulate-crelu": (
+        ["simulate", *_CRELU, *_SHAPE],
+        "875478cfc84728cd0e3bdb5b876ad65916d1401f28e41c0d255b22685498f1dd"),
+    "backward-crelu": (
+        ["simulate", "--backward", *_CRELU, *_SHAPE],
+        "78dc32ca7063fb9b1ddfcfadd893b703d2554fb78c2571f10afa7ee6723dc3ea"),
+    "backward-cst": (
+        ["simulate", "--backward", "--activation", "cst", "-s", "0.85", "--qstar", "1",
+         "--vprime", "0.7", *_SHAPE],
+        "ed6d709f709246da4b7ef971771ff2bc747519ab22d8b61f825618469157cc26"),
+    "backward-relu": (
+        ["simulate", "--backward", "--activation", "relu", "--qstar", "1", *_SHAPE],
+        "6f1d39dce4bcbaee36d60c0a45bcfa4bc65266191a2b26e1f169dd982f3dc723"),
+    "backward-more-rows-than-width": (
+        ["simulate", "--backward", *_CRELU, "--depth", "6", "--width", "16", "--batch", "40",
+         "--seed", "7"],
+        "158b8ae5505554e48f78d87ac69602dc8368fc6253d1f912279da1baf92577d1"),
+    "backward-dead-layer": (
+        ["simulate", "--backward", *_CRELU, "--input-variance", "1e-6", "--depth", "6",
+         "--width", "16", "--batch", "4", "--seed", "1"],
+        "f337a5b3bfae59a797d0aa1380989ba370b91ab3c9eb85dc6ed655f06603f034"),
+    "backward-deep": (
+        ["simulate", "--backward", "--activation", "crelu", "-s", "0.85", "--qstar", "1",
+         "--vprime", "0.15", "--depth", "40", "--width", "128", "--batch", "16", "--seed", "3"],
+        "d5a883e2ea3b741a103249f7a15ee5a4c04226d50df8ea24843bea4825fa6eb2"),
+    "correlate-cst": (
+        ["correlate", "--activation", "cst", "-s", "0.85", "--qstar", "1", "--vprime", "0.7",
+         "--rho0", "0.5", *_SHAPE],
+        "fa04444a93b87b7706177395a822b7c71628acbec0a4f85ed3842a8131e826ba"),
+    "correlate-crelu-duplicate": (
+        ["correlate", *_CRELU, "--rho0", "1", *_SHAPE],
+        "570f55c7b5fcc6f6e2a329bb829dfc57652aab392743d191d257b35568a646a9"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_monte_carlo_output_bytes_are_golden(tmp_path, case):
+    """Every simulated row is byte for byte that of the two-factor
+    backward pass: a change to the factor, the draw or the pull-down that
+    moves one bit of one statistic shows here."""
+    argv, sha = _GOLDEN[case]
+    out = tmp_path / "run.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 class TestBackwardState:
-    def test_peak_memory_grows_by_two_batch_factors_per_layer(self):
-        """The backward pass keeps each layer's two batch x batch factors
-        and draws h again on the way down: peak traced bytes grow by at
-        most 2 batch^2 8 bytes plus 1 KiB (the layer's stats row) per added
-        layer, at every width.  4547 bytes were measured at both widths;
-        keeping h grew by 35 266 at width 256 and 133 570 at 1024."""
+    def test_peak_memory_grows_by_one_eigenbasis_per_layer(self):
+        """The backward pass keeps each layer's eigenbasis, batch x batch
+        and batch floats, and draws h again on the way down: peak traced
+        bytes grow by at most (batch^2 + batch) 8 bytes plus 1 KiB (the
+        layer's stats row) per added layer, at every width.  2611 bytes
+        were measured at both widths; two batch x batch factors a layer
+        grew by 4546, and keeping h by 35 266 at width 256 and 133 570 at
+        1024.  Less the kept bases, the peak at width 1024 holds at most six
+        batch x (width + 1) float64 arrays: the error, one h and the
+        pull-down arrays of one layer.  5.2-5.4 were measured; 10.4-11.1
+        while the loops kept arrays they would not read again."""
         batch = 16
+        basis = (batch * batch + batch) * 8
         init = solve_init("crelu", 0.85, 1.0, 0.7)
 
         def peak(depth, width):
@@ -335,9 +399,13 @@ class TestBackwardState:
             finally:
                 tracemalloc.stop()
 
+        peaks = {(depth, width): peak(depth, width) for depth in (20, 60) for width in (256, 1024)}
         for width in (256, 1024):
-            growth = (peak(60, width) - peak(20, width)) / 40
-            assert growth <= 2 * batch * batch * 8 + 1024, (width, growth)
+            growth = (peaks[60, width] - peaks[20, width]) / 40
+            assert growth <= basis + 1024, (width, growth)
+        for depth in (20, 60):
+            arrays = (peaks[depth, 1024] - depth * basis) / (batch * 1025 * 8)
+            assert arrays <= 6, (depth, arrays)
 
     @pytest.mark.parametrize("init, width, batch", [
         (solve_init("crelu", 0.85, 1.0, 0.7), 64, 8),
@@ -416,17 +484,18 @@ class TestBackwardState:
     @pytest.mark.parametrize("q_scale", [1e-150, 1e150])
     def test_pull_down_does_not_overflow(self, q_scale):
         """``_pull_down`` is homogeneous of degree 0 in the layer's scale:
-        A and h scaled by c and w by 1/c give the same theta delta^T, down
+        A, h and s scaled by c give the same theta delta^T, down
         to q* = 1e-150 and up to 1e150."""
         config = SimConfig(init=solve_init("cst", 0.85, 1.0, 0.7), depth=6, width=64,
                            batch=8, seed=13)
         c = math.sqrt(q_scale)
         states = list(_conditional_pass(config, _draw_inputs(config)))
         delta = np.random.default_rng(13).standard_normal((config.batch, config.width))
-        for (_, _, x_below, *_), (layer, h, _, _, w) in zip(states, states[1:]):
+        for (_, _, x_below, *_), (layer, h, _, u, s) in zip(states, states[1:]):
             a = _design(config.init, layer, x_below)
-            ref = _pull_down(a, w, h, delta, np.random.default_rng(layer))
-            out = _pull_down(a * c, w / c, h * c, delta, np.random.default_rng(layer))
+            ref = _pull_down(a, u, s, h @ delta.T, delta, np.random.default_rng(layer))
+            out = _pull_down(a * c, u, s * c, (h * c) @ delta.T, delta,
+                             np.random.default_rng(layer))
             assert np.all(np.isfinite(out))
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), layer
 
