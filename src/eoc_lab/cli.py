@@ -33,7 +33,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from . import finite_width, jacobian, maps, simulator, solver, trainer
+from . import finite_width, gaussian, jacobian, maps, simulator, solver, trainer
 from ._moments import _Kernel
 from .activations import CRELU, CST, KINDS, RELU, _check_shape
 from .solver import (
@@ -146,20 +146,27 @@ def _add_run_flags(sub, batch: int | None = 64):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
+def _check_flags(args, names, given, problem):
+    """Refuse the ``names`` whose flags are given (are missing, if not ``given``)."""
+    found = [n for n in names if (getattr(args, n, None) is not None) == given]
+    if found:
         flags = {a.dest: a.option_strings[0] for a in args.parser._actions}
-        raise ValueError("missing required flag(s): " + ", ".join(flags[n] for n in missing))
+        raise ValueError(f"{problem}: " + ", ".join(flags[n] for n in found))
+
+
+def _require(args, names):
+    _check_flags(args, names, False, "missing required flag(s)")
 
 
 def _build_init(args) -> EocInit:
     _require(args, ["activation", "qstar"])
     if args.activation == RELU:
+        _check_flags(args, ["sparsity", "vprime", "m"], True, "flag(s) not read by relu")
         return relu_init(args.qstar)
     _require(args, ["sparsity"])
     m = getattr(args, "m", None)
     if m is not None:
+        _check_flags(args, ["vprime"], True, "flag(s) not read with --m")
         return init_from_m(args.activation, args.sparsity, args.qstar, m)
     _require(args, ["vprime"])
     return solve_init(args.activation, args.sparsity, args.qstar, args.vprime)
@@ -214,32 +221,27 @@ def _cmd_solve(args) -> int:
 _GAIN_QUANTITIES = {"Vprime": "v_prime", "Vprimeprime": "v_prime2", "chi1prime": "chi1_prime"}
 
 
-def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor, out):
-    """One sparsity's block of a sweep, written into the flat array ``out``
-    in CSV row order.
+def _sweep_block(quantity, kind, tau, q_grid, m_grid, anchor):
+    """The cell values of one sparsity's block of a sweep, in CSV row order.
 
-    Every cell is a critical initialisation: the threshold comes from s and
-    the gain is re-solved at the cell's q* (at ``anchor`` for vmap_curve,
-    whose axes are (m, q) instead of (q*, m)).  A cell whose gain does not
-    exist reads nan; so does a cell that fails the solver's feasibility
-    predicate, for the quantities that need the whole initialisation.
+    Every cell is a critical initialisation: ``tau``, checked, is the
+    sparsity's threshold down the q* axis (at ``anchor`` for vmap_curve,
+    whose axes are (m, q) instead of (q*, m)) and the gain is re-solved at
+    the cell's q*.  A cell whose gain does not exist reads nan; so does a
+    cell that fails the solver's feasibility predicate, for the quantities
+    that need the whole initialisation.
 
-    The block is evaluated a chunk of rows of the leading axis at a time,
-    ``_CSV_CHUNK`` cells or one row if a row is longer.  Every operation is
-    elementwise, so the values are those of one whole-block evaluation, and
-    only one chunk's temporaries are ever held.
+    The values are yielded as lists of floats, a chunk of rows of the
+    leading axis at a time (``_CSV_CHUNK`` cells, or one row if longer).
+    Every operation is elementwise: they are one whole-block evaluation's.
     """
-    lead, cols = (m_grid, q_grid) if quantity == "vmap_curve" else (q_grid, m_grid)
-    out = out.reshape(lead.size, cols.size)
+    vmap = quantity == "vmap_curve"
+    lead, cols = (m_grid, q_grid) if vmap else (q_grid, m_grid)
     step = max(1, _CSV_CHUNK // cols.size)
     for i in range(0, lead.size, step):
-        if quantity == "vmap_curve":
-            q_star, m = anchor, lead[i:i + step, None]
-        else:
-            q_star, m = lead[i:i + step, None], m_grid
-        tau = sparsity_threshold(kind, s, q_star)
-        _check_shape(tau, m)
-        k = _Kernel(kind, tau, m, q_star)
+        rows = lead[i:i + step, None]
+        t, m, q_star = (tau, rows, anchor) if vmap else (tau[i:i + step], m_grid, rows)
+        k = _Kernel(kind, t, m, q_star)
         sw2, sb2 = solver._critical(k)
         failure = solver._failure(k, sw2, sb2, q_star)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,9 +252,9 @@ def _sweep_block(quantity, kind, s, q_grid, m_grid, anchor, out):
                 values = finite_width._envelope(k, sw2)
                 infeasible = failure >= 0
             else:
-                values = _Kernel(kind, tau, m, q_grid).v(sw2, sb2)
+                values = _Kernel(kind, t, m, q_grid).v(sw2, sb2)
                 infeasible = failure >= 0
-            out[i:i + step] = np.where(infeasible, np.nan, values)
+            yield np.where(infeasible, np.nan, values).ravel().tolist()
 
 
 class _GridRows:
@@ -260,44 +262,41 @@ class _GridRows:
 
     Each axis value is formatted once, as text; a row is its coordinates
     (the product of the axes, last axis fastest) zipped with the repr of its
-    cell value.  Cell values become Python floats ``_CSV_CHUNK`` at a time.
+    cell value.  The values come from ``chunks``, lists of them in row
+    order, so the rows can be iterated once.
     """
 
-    def __init__(self, axes, values):
-        self._axes = axes
-        self._values = values.reshape(-1)
+    def __init__(self, axes, chunks):
+        self._axes, self._chunks = axes, chunks
 
     def __len__(self):
-        return self._values.size
+        return math.prod(map(len, self._axes))
 
     def __iter__(self):
         coords = map(",".join, itertools.product(*self._axes))
-        values = self._values
-        cells = itertools.chain.from_iterable(
-            map(repr, values[i:i + _CSV_CHUNK].tolist())
-            for i in range(0, values.size, _CSV_CHUNK)
-        )
-        return zip(coords, cells)
+        return zip(coords, map(repr, itertools.chain.from_iterable(self._chunks)))
 
 
 def _cmd_sweep(args) -> int:
     _require(args, ["quantity", "activation", "s_list", "qstar_range", "m_range", "out"])
+    vmap = args.quantity == "vmap_curve"
+    if not vmap:
+        _check_flags(args, ["qstar"], True, "flag(s) read only by --quantity vmap_curve")
     kind = args.activation
-    q_lo, q_hi, q_steps = args.qstar_range
-    m_lo, m_hi, m_steps = args.m_range
-    q_grid = np.linspace(q_lo, q_hi, q_steps)
-    m_grid = np.linspace(m_lo, m_hi, m_steps)
+    q_grid, m_grid = np.linspace(*args.qstar_range), np.linspace(*args.m_range)
     anchor = args.qstar if args.qstar is not None else 1.0
 
-    # every block is computed before the output file is opened, so a bad
-    # sparsity late in the list leaves no partial file behind
-    values = np.empty((len(args.s_list), q_steps * m_steps))
-    for s, block in zip(args.s_list, values):
-        _sweep_block(args.quantity, kind, s, q_grid, m_grid, anchor, block)
+    # every input is checked before the output file is opened, so a bad
+    # one leaves no partial file behind
+    gaussian._check_q(q_grid)
+    taus = [sparsity_threshold(kind, s, anchor if vmap else q_grid[:, None]) for s in args.s_list]
+    _check_shape(taus, m_grid)
+    chunks = (chunk for tau in taus
+              for chunk in _sweep_block(args.quantity, kind, tau, q_grid, m_grid, anchor))
     s_txt = [repr(s) for s in args.s_list]
     q_txt = [repr(q) for q in q_grid.tolist()]
     m_txt = [repr(m) for m in m_grid.tolist()]
-    if args.quantity == "vmap_curve":
+    if vmap:
         header = ("activation", "s", "anchor_q_star", "m", "q", "value")
         axes = ([kind], s_txt, [repr(anchor)], m_txt, q_txt)
     else:
@@ -312,7 +311,7 @@ def _cmd_sweep(args) -> int:
         "anchor_q_star": args.qstar,
         "gain_resolved_per_cell": True,
     }
-    _publish(args, doc, (header, _GridRows(axes, values)))
+    _publish(args, doc, (header, _GridRows(axes, chunks)))
     return EXIT_OK
 
 

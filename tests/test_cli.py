@@ -268,9 +268,10 @@ class TestSweep:
         to 1e-12 relative, its nan cells are exactly the infeasible ones, and
         these grids have none."""
         out = tmp_path / "grid.csv"
+        anchor = ["--qstar", "1.3"] if quantity == "vmap_curve" else []
         rc = cli.main(["sweep", "--quantity", quantity, "--activation", kind,
                        "--sparsity", "0.6,0.8", "--qstar-range", q_range,
-                       "--m-range", "0.5:3:6", "--qstar", "1.3", "--out", str(out)])
+                       "--m-range", "0.5:3:6", *anchor, "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
 
@@ -411,15 +412,57 @@ class TestSweep:
         assert "_float_list" not in proc.stderr and "_range_triple" not in proc.stderr
         assert not out.exists()
 
-    def test_bad_late_sparsity_leaves_no_file(self, tmp_path):
-        """Every sparsity's block is computed before the file is opened."""
+    @pytest.mark.parametrize("quantity, sparsity, q_range, m_range, message", [
+        ("Vprime", "0.7,0.3", "0.5:3:3", "1:2:2", "crelu needs sparsity s >= 0.5, got s=0.3"),
+        ("Vprime", "0.7,0.8", "0.5:3:3", "-1:2:4", "m must be a finite positive clip level"),
+        ("nlo_bound", "0.7", "-1:3:5", "1:2:2", "variance must be positive and finite, got -1.0"),
+        ("vmap_curve", "0.7", "0:5:4", "1:2:2", "variance must be positive and finite, got 0.0"),
+    ], ids=["late-sparsity", "m-axis", "qstar-axis", "vmap-q-axis"])
+    def test_bad_input_leaves_no_file(self, tmp_path, capsys, quantity, sparsity, q_range,
+                                      m_range, message):
+        """Every input is checked before the file is opened: a bad one exits
+        1, names the problem and leaves no file."""
         out = tmp_path / "grid.csv"
-        proc = run_cli(["sweep", "--quantity", "Vprime", "--activation", "crelu",
-                        "--sparsity", "0.7,0.3", "--qstar-range", "0.5:3:3",
-                        "--m-range", "1:2:2", "--out", str(out)])
-        assert proc.returncode == 1
-        assert "crelu needs sparsity s >= 0.5, got s=0.3" in proc.stderr
+        rc = cli.main(["sweep", "--quantity", quantity, "--activation", "crelu",
+                       "--sparsity", sparsity, f"--qstar-range={q_range}",
+                       f"--m-range={m_range}", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("quantity", [q for q in cli.SWEEP_QUANTITIES if q != "vmap_curve"])
+    def test_qstar_is_read_only_by_vmap_curve(self, tmp_path, capsys, quantity):
+        """--qstar anchors vmap_curve; no other quantity reads it, so giving
+        it is a usage error, not a header value that no cell used."""
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["sweep", "--quantity", quantity, "--activation", "crelu",
+                       "--sparsity", "0.85", "--qstar-range", "0.5:3:3", "--m-range", "1:2:2",
+                       "--qstar", "7", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: flag(s) read only by --quantity vmap_curve: --qstar\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quantity", cli.SWEEP_QUANTITIES)
+    def test_rows_are_sized_as_written(self, tmp_path, monkeypatch, capsys, quantity):
+        """The rows handed to _write_csv report, before they are written,
+        the number of rows the CSV then holds."""
+        sizes = []
+        write_csv = cli._write_csv
+
+        def sized(path, header, rows):
+            sizes.append(len(rows))
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", sized)
+        out = tmp_path / "grid.csv"
+        assert cli.main(["sweep", "--quantity", quantity, "--activation", "cst",
+                         "--sparsity", "0.6,0.7,0.8", "--qstar-range", "0.1:5:17",
+                         "--m-range", "0.5:3:241", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sizes == [len(read_csv(out))] == [3 * 17 * 241]
 
     @pytest.mark.parametrize("quantity,kind,sparsity,q_range,m_range,has_nan", [
         # 2 x 32 x 64 = 4096 rows: exactly one chunk of lines
@@ -436,18 +479,19 @@ class TestSweep:
         """The streamed CSV is byte for byte the one a row-at-a-time writer
         makes from the same cell values."""
         out, expected = tmp_path / "grid.csv", tmp_path / "expected.csv"
+        anchor = ["--qstar", "1.3"] if quantity == "vmap_curve" else []
         rc = cli.main(["sweep", "--quantity", quantity, "--activation", kind,
-                       "--sparsity", sparsity, "--qstar", "1.3",
+                       "--sparsity", sparsity, *anchor,
                        "--qstar-range", ":".join(map(str, q_range)),
                        "--m-range", ":".join(map(str, m_range)), "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
         s_list = [float(s) for s in sparsity.split(",")]
         q_grid, m_grid = np.linspace(*q_range), np.linspace(*m_range)
-        values = np.empty((len(s_list), q_grid.size * m_grid.size))
-        for s, block in zip(s_list, values):
-            cli._sweep_block(quantity, kind, s, q_grid, m_grid, 1.3, block)
-        values = values.ravel()
+        tau_at = 1.3 if quantity == "vmap_curve" else q_grid[:, None]
+        blocks = (cli._sweep_block(quantity, kind, sparsity_threshold(kind, s, tau_at),
+                                   q_grid, m_grid, 1.3) for s in s_list)
+        values = [v for block in blocks for chunk in block for v in chunk]
         if quantity == "vmap_curve":
             header = ("activation", "s", "anchor_q_star", "m", "q", "value")
             coords = itertools.product([kind], s_list, [1.3], m_grid, q_grid)
@@ -481,19 +525,21 @@ class TestSweep:
         or m for vmap_curve."""
         lead, other = np.linspace(0.01, 5.0, rows), np.linspace(0.05, 8.0, cols)
         q_grid, m_grid = (other, lead) if quantity == "vmap_curve" else (lead, other)
-        block = np.empty(rows * cols)
-        cli._sweep_block(quantity, kind, 0.8, q_grid, m_grid, 1.3, block)
+        tau = sparsity_threshold(kind, 0.8, 1.3 if quantity == "vmap_curve" else q_grid[:, None])
+        block = np.array([v for chunk in cli._sweep_block(quantity, kind, tau, q_grid, m_grid, 1.3)
+                          for v in chunk])
         whole = _whole_block(quantity, kind, 0.8, q_grid, m_grid, 1.3)
         assert np.isfinite(whole).any()
         assert block.tobytes() == whole.tobytes()
 
     def test_peak_memory_per_cell(self, tmp_path, capsys):
-        """A sweep holds its values, 8 bytes a cell, and the temporaries and
-        lines of one chunk.  At 2 x 300 x 300 and 2 x 500 x 500 cells the
-        traced peak is within 8 bytes a cell plus 2 MiB (1.3-1.4 MiB above
-        the values), and between them it grows by at most 9 bytes a cell
-        (8.1 measured).  Evaluating each block whole grew 60 bytes a cell;
-        building a list of every row before writing, 192."""
+        """A sweep holds the temporaries, values and lines of one chunk, and
+        its axes as text.  At 2 x 300 x 300 and 2 x 500 x 500 cells the
+        traced peak is at most 2.5 MiB (2.01 and 2.07 measured), and
+        between them it grows by at most 1 byte a cell (0.17 measured).
+        Holding every value before writing grew 8.1 bytes a cell (2.66 and
+        5.13 MiB); evaluating each block whole, 60; building a list of every
+        row before writing, 192."""
         def argv(steps):
             return ["sweep", "--quantity", "Vprimeprime", "--activation", "crelu",
                     "--sparsity", "0.65,0.87", "--qstar-range", f"0.5:3:{steps}",
@@ -510,11 +556,11 @@ class TestSweep:
                 tracemalloc.stop()
             assert rc == 0
             cells = 2 * steps * steps
-            assert peak <= 8 * cells + 2 * 2**20, steps
+            assert peak <= 2.5 * 2**20, steps
             peaks[cells] = peak
         capsys.readouterr()
         (small, peak_small), (large, peak_large) = sorted(peaks.items())
-        assert peak_large - peak_small <= 9 * (large - small)
+        assert peak_large - peak_small <= large - small
 
 
 def _whole_block(quantity, kind, s, q_grid, m_grid, anchor):
@@ -891,6 +937,49 @@ def test_unwritable_table_output_fails_before_any_work(tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert str(out) in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# the flags each command needs besides the init flags, to reach its init
+_INIT_COMMANDS = {
+    "solve": [],
+    "fixed-points": [],
+    "nlo": ["--depth", "5"],
+    "simulate": _RUN,
+    "correlate": [*_RUN, "--rho0", "0.5"],
+    "jacobian": ["--depth", "5"],
+    "train": ["--depth", "2", "--width", "8", "--epochs", "1", "--lr", "0.1", "--batch", "16"],
+}
+_INIT_OPTIONS = {"activation": "--activation", "sparsity": "-s", "vprime": "--vprime", "m": "--m"}
+_UNREAD_INITS = {
+    "vprime-with-m": ({"activation": "crelu", "sparsity": 0.85, "m": 2.0, "vprime": 0.3},
+                      "flag(s) not read with --m: --vprime"),
+    "relu-sparsity-vprime": ({"activation": "relu", "sparsity": 0.3, "vprime": 0.5},
+                             "flag(s) not read by relu: --sparsity, --vprime"),
+    "relu-m": ({"activation": "relu", "m": 2.0}, "flag(s) not read by relu: --m"),
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command, init, message", [
+    pytest.param(command, init, message, id=f"{command}-{name}")
+    for command in _INIT_COMMANDS for name, (init, message) in _UNREAD_INITS.items()
+    if command != "solve" or "m" not in init  # solve has no --m
+])
+def test_unread_init_flags_are_usage_errors(tmp_path, capsys, command, init, message, route):
+    """An init flag that is given, on the command line or as a --config
+    key, but never read is a usage error naming it, not silently dropped:
+    exit 1 before any work, and no output."""
+    if route == "flag":
+        given = [text for key, value in init.items() for text in (_INIT_OPTIONS[key], str(value))]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(init))
+        given = ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    argv = [command, *given, "--qstar", "1", *_INIT_COMMANDS[command], "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 class TestTrainCommand:
