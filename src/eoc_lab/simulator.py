@@ -14,8 +14,9 @@ No run builds a weight matrix.  Given the activations X (rows x N)
 feeding a layer, its N pre-activation columns are independent
 N(0, C) vectors with C = sw2/N X X^T + sb2 1 1^T (conditional
 Gaussianity), so each layer factors the rows x rows matrix C with one
-symmetric eigendecomposition and draws the columns from it: rows x N
-normals instead of N x N, exact in law.  ``run_backward`` pulls an error
+symmetric eigendecomposition and draws the columns from its symmetric
+root, which no eigenbasis choice moves: rows x N normals instead of N x N,
+exact in law and continuous in the init.  ``run_backward`` pulls an error
 down through the same layers by drawing the weights' product with the
 error from their law given the forward draw h (Gaussian conditioning),
 from the same factor and again without the N x N matrix.  It keeps only
@@ -124,29 +125,30 @@ def _design(init: EocInit, layer: int, x: np.ndarray) -> np.ndarray:
 
 def _gram_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenbasis (U, s) of the Gram matrix a a^T = U diag(lam) U^T,
-    from one eigh: s = sqrt(lam) on the kept directions and 0 on the others,
-    so U s is a root of a a^T.
+    from one eigh: s = sqrt(lam) on the kept directions and 0 on the others.
 
     ``keep`` is the rule ``np.linalg.matrix_rank`` applies to a symmetric
     matrix, lam > lam_max rows eps: the directions it drops carry round-off,
     not variance, so duplicate rows, a dead layer (a = 0 keeps nothing) and
-    more rows than columns need no special case.  Each eigenvector's
-    largest-magnitude entry is made positive: eigh's signs flip under
-    last-bit changes of the Gram matrix, which would make a rescaled run
-    another draw.
+    more rows than columns need no special case.
     """
     lam, u = np.linalg.eigh(a @ a.T)
-    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(lam.size)])
     keep = lam > lam[-1] * lam.size * _EPS
     return u, np.sqrt(np.where(keep, lam, 0.0))
 
 
-def _draw(config: SimConfig, layer: int, root: np.ndarray) -> np.ndarray:
-    """A layer's pre-activations root Z, Z the (rows, width) standard
-    normals of the layer's keyed stream: the same bits whenever called."""
+def _root(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(u s) u^T, the symmetric root of the kept part of the Gram matrix:
+    unique whatever eigenbasis and signs eigh returns."""
+    return (u * s) @ u.T
+
+
+def _draw(config: SimConfig, layer: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A layer's pre-activations ``_root(u, s)`` Z, Z the (rows, width)
+    standard normals of the layer's keyed stream: the same bits whenever called."""
     z = _layer_rng(config.seed, layer, _STREAM_WEIGHTS).standard_normal(
-        (root.shape[0], config.width))
-    return root @ z
+        (u.shape[0], config.width))
+    return _root(u, s) @ z
 
 
 def _conditional_pass(config: SimConfig, x: np.ndarray):
@@ -154,18 +156,17 @@ def _conditional_pass(config: SimConfig, x: np.ndarray):
 
     Each layer's pre-activations are drawn from their law given the
     activations below: with A = ``_design(...)`` and (u, s) the eigenbasis
-    of A A^T from ``_gram_factor``, the columns of h = (u s) Z for standard
-    normal (rows, N) Z have covariance A A^T up to the round-off directions
-    the rank rule drops.  (u, s), rows x rows and rows floats, is all that
-    ``run_backward`` keeps of a layer: u s draws h again, and ``_pull_down``
-    forms w = u / s on the kept directions, for which A^T w spans the
-    parameter directions the draw fixed and w^T h recovers Z on them.
-    Z is not kept past its layer, nor the input past layer 1.
+    of A A^T from ``_gram_factor``, the columns of h = (u s u^T) Z for
+    standard normal (rows, N) Z have covariance A A^T up to the round-off
+    directions the rank rule drops.  (u, s), rows x rows and rows floats, is
+    all that ``run_backward`` keeps of a layer: ``_draw`` draws h again from
+    it, and ``_pull_down`` forms w = u / s on the kept directions.  Z is not
+    kept past its layer, nor the input past layer 1.
     """
     init = config.init
     for layer in range(1, config.depth + 1):
         u, s = _gram_factor(_design(init, layer, x))
-        h = _draw(config, layer, u * s)
+        h = _draw(config, layer, u, s)
         x = init.spec.evaluate(h)
         yield layer, h, x, u, s
 
@@ -245,15 +246,14 @@ def _pull_down(a: np.ndarray, u: np.ndarray, s: np.ndarray, h_delta: np.ndarray,
     With w = u / s on the kept directions (0 on the others), the draw fixed
     theta along V = A^T w, as V^T theta = w^T h, so theta = V w^T h +
     (I - V V^T) theta' with theta' fresh; and theta' delta^T has the law
-    of F = Y L^T for a standard normal Y and L L^T = delta delta^T from
-    ``_gram_factor(delta)``.  Hence theta delta^T = A^T w (w^T (h delta^T -
-    A F)) + F, with one fresh normal per parameter row and error row, no
-    solve and no w w^T formed; A (theta delta^T) = h delta^T holds to
-    round-off because the forward draw and this step keep the same
-    directions, those where s > 0.
+    of F = Y L for a standard normal Y and L the symmetric root of
+    delta delta^T.  Hence theta delta^T = A^T w (w^T (h delta^T - A F)) +
+    F, with one fresh normal per parameter row and error row, no solve and
+    no w w^T formed (w reads the eigenbasis only through it); A (theta
+    delta^T) = h delta^T holds to round-off because the forward draw and
+    this step keep the same directions, those where s > 0.
     """
-    u_delta, s_delta = _gram_factor(delta)
-    fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ (u_delta * s_delta).T
+    fresh = rng.standard_normal((a.shape[1], delta.shape[0])) @ _root(*_gram_factor(delta))
     w = u * np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
     theta_delta = a.T @ (w @ (w.T @ (h_delta - a @ fresh)))
     theta_delta += fresh
@@ -270,7 +270,7 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
     error come from ``_pull_down``, given the forward draw.  Per-layer state
     is one eigenbasis (u, s), batch x batch and batch floats, popped
     top-down, and only the top layer's h outlives the forward pass: each
-    layer below is drawn again once by ``_draw`` from u s, bit for bit the
+    layer below is drawn again once by ``_draw`` from (u, s), bit for bit the
     forward draw, and its activations, which A is built from, are
     recomputed from it.  A batch x width array is let go as soon as it is
     not read again, so the way down holds the error, one h and the pull-down
@@ -292,7 +292,7 @@ def run_backward(config: SimConfig) -> list[LayerStats]:
         h_delta = h @ delta.T
         del h
         (u, s), (u_below, s_below) = bases.pop(), bases[-1]
-        h = _draw(config, layer - 1, u_below * s_below)
+        h = _draw(config, layer - 1, u_below, s_below)
         # theta delta^T is not bound: it goes once its error rows are scaled
         delta = scale * _pull_down(
             _design(init, layer, init.spec.evaluate(h)), u, s, h_delta, delta,

@@ -224,15 +224,13 @@ def dense_backward(init, states, delta):
 
 
 def _root_and_inverse_root(a):
-    """(U sqrt(lam keep), U keep / sqrt(lam)) of a a^T = U diag(lam) U^T:
-    a root of the Gram matrix and its pseudo-inverse root, both formed at
-    once, with the rank rule and eigenvector signs of
-    ``simulator._gram_factor``."""
+    """((U sqrt(lam keep)) U^T, U keep / sqrt(lam)) of a a^T = U diag(lam)
+    U^T: the symmetric root of the Gram matrix and a pseudo-inverse root,
+    both formed at once, with the rank rule of ``simulator._gram_factor``."""
     lam, u = np.linalg.eigh(a @ a.T)
-    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(lam.size)])
     keep = lam > lam[-1] * lam.size * np.finfo(float).eps
     root = np.sqrt(np.where(keep, lam, 1.0))
-    return u * np.where(keep, root, 0.0), u * np.where(keep, 1.0 / root, 0.0)
+    return (u * np.where(keep, root, 0.0)) @ u.T, u * np.where(keep, 1.0 / root, 0.0)
 
 
 @_in_safe_units
@@ -263,7 +261,7 @@ def backward_keeping_h(config):
         a = _design(init, layer, init.spec.evaluate(h_below))
         root_delta, _ = _root_and_inverse_root(delta)
         fresh = _layer_rng(config.seed, layer, _STREAM_COMPLEMENT).standard_normal(
-            (n + 1, config.batch)) @ root_delta.T
+            (n + 1, config.batch)) @ root_delta
         theta_delta = a.T @ (w @ (w.T @ (h @ delta.T - a @ fresh))) + fresh
         delta = scale * theta_delta[:n].T * init.spec.segment_mask(h_below)
         v_hat.append(float(np.mean(delta * delta)))

@@ -699,11 +699,12 @@ class TestSimulateAndCorrelate:
     def test_measured_subnormal_variance_is_the_q0_run(self, tmp_path, capsys):
         """A run whose measured variances are subnormal is the q0 run with
         q_hat scaled by 4^k, each rounded once (it exited 1 naming layer 1's
-        q_hat 1.9296911262384166e-308)."""
+        subnormal q_hat)."""
         flags = ["simulate", "--activation", "relu", "--depth", "4", "--width", "8",
                  "--batch", "4", "--seed", "1"]
         doc, rows = _run_in_process([*flags, "--qstar", "2.3e-308"], tmp_path, capsys)
-        assert rows[0]["q_hat"] == 1.9296911262384166e-308
+        assert rows[0]["q_hat"] == 2.0151092290560814e-308
+        assert 0.0 < rows[0]["q_hat"] < sys.float_info.min
         k = (math.frexp(2.3e-308)[1] - 1) // 2
         q0 = repr(math.ldexp(2.3e-308, -2 * k))
         assert_covariant((doc, rows), _run_in_process([*flags, "--qstar", q0], tmp_path, capsys), k)
@@ -714,15 +715,16 @@ class TestSimulateAndCorrelate:
         """At q* = 1e308 the Gram matrices and squares would overflow (the
         run wrote a dead network: q_hat 0.0, sparsity 1.0).  It is computed
         in lengths scaled by a power of two, so with no warning it is the
-        run at q0 = 1e308 / 4^511 with q_hat scaled by 4^511, bit for bit."""
+        run at q0 = 1e308 / 4^511 with q_hat scaled by 4^511, bit for bit.
+        Seed 3's largest layer sample is 1.61 q*, inside the float range."""
         out = tmp_path / "s.csv"
         flags = ["--activation", "relu", "--depth", "4", "--width", "8", "--batch", "4",
-                 "--seed", "1"]
+                 "--seed", "3"]
         proc = run_cli([*command, *flags, "--qstar", "1e308", "--out", str(out)],
                        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
         assert proc.returncode == 0 and proc.stderr == ""
         config = simulator.SimConfig(init=relu_init(math.ldexp(1e308, -1022)), depth=4,
-                                     width=8, batch=4, seed=1)
+                                     width=8, batch=4, seed=3)
         if command[0] == "correlate":
             expected = simulator.run_correlation(config, 0.5)
         else:
@@ -738,16 +740,18 @@ class TestSimulateAndCorrelate:
 
     def test_qstar_beyond_the_float_range_is_named(self, tmp_path):
         """A layer whose measured variance exceeds the largest float exits 1
-        naming that layer, and writes no file."""
+        naming that layer, and writes no file: at q* = 1.7e308, and at 1e308,
+        where seed 1's layer-2 sample is 2.10 q*."""
         out = tmp_path / "s.csv"
-        proc = run_cli(["simulate", "--activation", "relu", "--qstar", "1.7e308",
-                        "--depth", "4", "--width", "8", "--batch", "4", "--seed", "1",
-                        "--out", str(out)],
-                       env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
-        assert proc.returncode == 1
-        assert proc.stderr == ("error: layer 2's measured variance exceeds the largest float"
-                               " 1.7976931348623157e+308\n")
-        assert not out.exists()
+        for qstar in ("1.7e308", "1e308"):
+            proc = run_cli(["simulate", "--activation", "relu", "--qstar", qstar,
+                            "--depth", "4", "--width", "8", "--batch", "4", "--seed", "1",
+                            "--out", str(out)],
+                           env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+            assert proc.returncode == 1
+            assert proc.stderr == ("error: layer 2's measured variance exceeds the largest"
+                                   " float 1.7976931348623157e+308\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--backward"]], ids=["forward", "backward"])
     def test_variances_too_far_apart_are_named(self, tmp_path, extra):

@@ -319,54 +319,53 @@ def scaled_lengths(init, c):
 
 
 # sha256 of the CSVs of small simulate, simulate --backward and correlate
-# runs, recorded while each backward layer still kept its two factors
-# (root, w) and the backward loop its dead batch x width arrays (x86-64,
-# numpy 2.4 with OpenBLAS).  backward-deep drops round-off directions in 64
-# of its 79 Gram factors; dead-layer's inputs are so small that layers 1 and
-# 2 read sparsity 1.
+# runs of the symmetric-root sampler, h = (u s u^T) Z (x86-64, numpy 2.4
+# with OpenBLAS).  backward-deep drops round-off directions in 70 of its 79
+# Gram factors; dead-layer's inputs are so small that layer 1 reads
+# sparsity 1, so layer 2's Gram matrix has rank 1.
 _CRELU = ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7"]
 _SHAPE = ["--depth", "6", "--width", "64", "--batch", "8", "--seed", "7"]
 _GOLDEN = {
     "simulate-crelu": (
         ["simulate", *_CRELU, *_SHAPE],
-        "875478cfc84728cd0e3bdb5b876ad65916d1401f28e41c0d255b22685498f1dd"),
+        "829b9ffa15e2f467eb937d57efc4c021a62a4fe598252b00caca5bfd7a0d3601"),
     "backward-crelu": (
         ["simulate", "--backward", *_CRELU, *_SHAPE],
-        "78dc32ca7063fb9b1ddfcfadd893b703d2554fb78c2571f10afa7ee6723dc3ea"),
+        "e79ca4b44fdf9e7e336946ffcbb8490bbe0d651b61668aea63ea7a1fef2bc1b1"),
     "backward-cst": (
         ["simulate", "--backward", "--activation", "cst", "-s", "0.85", "--qstar", "1",
          "--vprime", "0.7", *_SHAPE],
-        "ed6d709f709246da4b7ef971771ff2bc747519ab22d8b61f825618469157cc26"),
+        "f078e5ba917021bf521571741d5d2d5dd9e41c4c9bc47f2effdf9ba359bce995"),
     "backward-relu": (
         ["simulate", "--backward", "--activation", "relu", "--qstar", "1", *_SHAPE],
-        "6f1d39dce4bcbaee36d60c0a45bcfa4bc65266191a2b26e1f169dd982f3dc723"),
+        "e6d277038f7579bfa73faadac063409c41f363a3463f2da572391c43f1cc8fb9"),
     "backward-more-rows-than-width": (
         ["simulate", "--backward", *_CRELU, "--depth", "6", "--width", "16", "--batch", "40",
          "--seed", "7"],
-        "158b8ae5505554e48f78d87ac69602dc8368fc6253d1f912279da1baf92577d1"),
+        "564ab06db864b896d68608111da7e110b7bc1a5b26deb0bc3ea4a79ba9ea5861"),
     "backward-dead-layer": (
         ["simulate", "--backward", *_CRELU, "--input-variance", "1e-6", "--depth", "6",
          "--width", "16", "--batch", "4", "--seed", "1"],
-        "f337a5b3bfae59a797d0aa1380989ba370b91ab3c9eb85dc6ed655f06603f034"),
+        "c21a1e23250737fbbf3e399acb5cbe0401f95ba45d8341d93146339a124c044d"),
     "backward-deep": (
         ["simulate", "--backward", "--activation", "crelu", "-s", "0.85", "--qstar", "1",
          "--vprime", "0.15", "--depth", "40", "--width", "128", "--batch", "16", "--seed", "3"],
-        "d5a883e2ea3b741a103249f7a15ee5a4c04226d50df8ea24843bea4825fa6eb2"),
+        "be6906fe88be6c14a1cb869a7d6bfc7862de8ee44a396117cc81b6f8c2ddfb8a"),
     "correlate-cst": (
         ["correlate", "--activation", "cst", "-s", "0.85", "--qstar", "1", "--vprime", "0.7",
          "--rho0", "0.5", *_SHAPE],
-        "fa04444a93b87b7706177395a822b7c71628acbec0a4f85ed3842a8131e826ba"),
+        "967fb57851ae040f88468d400598354ec0863642fe5807f0bfa1a66cce8f05aa"),
     "correlate-crelu-duplicate": (
         ["correlate", *_CRELU, "--rho0", "1", *_SHAPE],
-        "570f55c7b5fcc6f6e2a329bb829dfc57652aab392743d191d257b35568a646a9"),
+        "416c75232e872a7608f094b007b1ac35c0c46762ecea5b8fb8bbe0b52eed7033"),
 }
 
 
 @pytest.mark.parametrize("case", list(_GOLDEN))
 def test_monte_carlo_output_bytes_are_golden(tmp_path, case):
-    """Every simulated row is byte for byte that of the two-factor
-    backward pass: a change to the factor, the draw or the pull-down that
-    moves one bit of one statistic shows here."""
+    """Every simulated row is byte for byte that of the recorded run: a
+    change to the factor, the draw or the pull-down that moves one bit of
+    one statistic shows here."""
     argv, sha = _GOLDEN[case]
     out = tmp_path / "run.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
@@ -441,11 +440,11 @@ class TestBackwardState:
     def test_forward_and_correlate_are_scale_invariant_far_out(self, kind):
         """At q* = 1e-150 and 1e150 the run computes at a q0 that is not 1,
         where eigh's eigenvectors differ from the q* = 1 ones in their last
-        bits, and their signs would flip under that: with the sign
-        convention the run is still the scaled q* = 1 run, at every seed.
-        Without it 26 of these 120 runs were another draw, up to 0.43 off
-        in q_hat / q* and 0.018 in rho_hat.  At q* = 2^-498 and 2^498 the
-        run computes at q0 = 1 and is the q* = 1 run scaled, bit for bit."""
+        bits and may come back in another basis or with other signs.  The
+        draw's symmetric root (u s) u^T does not depend on the basis, so
+        the run is still the scaled q* = 1 run to round-off, at every seed.
+        At q* = 2^-498 and 2^498 the run computes at q0 = 1 and is the
+        q* = 1 run scaled, bit for bit."""
         base = solve_init(kind, 0.85, 1.0, 0.7)
         for seed in range(30):
             config = SimConfig(init=base, depth=8, width=64, batch=8, seed=seed)
@@ -464,19 +463,45 @@ class TestBackwardState:
                         if st.rho_hat is not None:
                             assert st.rho_hat == pytest.approx(st_ref.rho_hat, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["crelu", "cst"])
+    def test_same_seed_run_is_continuous_in_its_init(self, kind):
+        """m and sb2 moved by 1e-14 relative move a same-seed run by
+        round-off, because the symmetric root does not rotate with the
+        eigenbasis that eigh returns.  Measured worst changes over seeds
+        7-9, crelu and cst: 1.3e-13 and 5.2e-13 in forward q_hat through
+        depth 40, 1.1e-11 and 5.2e-11 in rho_hat, 1.1e-10 and 3.3e-8 in
+        v_hat at depth 20.  The eigenbasis draw u s moved them by up to
+        9.1e-4, 2.2e-3 and 0.25."""
+        base = solve_init(kind, 0.85, 1.0, 0.7)
+        f = 1.0 + 1e-14
+        moved = replace(base, spec=replace(base.spec, m=base.spec.m * f), sb2=base.sb2 * f)
+        for seed in (7, 8, 9):
+            for run, depth, column, bound, args in (
+                (run_forward, 40, "q_hat", 1e-12, ()),
+                (run_correlation, 40, "rho_hat", 1e-9, (0.5,)),
+                (run_backward, 20, "v_hat", 1e-6, ()),
+            ):
+                ref, out = (run(SimConfig(init=init, depth=depth, width=300, batch=32,
+                                          seed=seed), *args) for init in (base, moved))
+                for st, st_ref in zip(out, ref, strict=True):
+                    value, value_ref = getattr(st, column), getattr(st_ref, column)
+                    assert value == pytest.approx(value_ref, rel=bound), (seed, column, st.layer)
+
     def test_huge_input_variance_keeps_a_tiny_qstar(self):
         """Inputs at 1e300 into a network at q* = 1e-300, and at 1e308 into
         q* = 1, where the Gram matrix overflowed: lengths scaled by 2^-k,
         k = (e_q* + e_v) // 4, put the two variances either side of 1 alike,
-        so every layer is alive."""
+        so every layer is alive.  Width 64 keeps the layer-2 sample near
+        its theory value of 5.62 q* (seeds 1-3 read 4.97-6.51; width 8 read
+        10.8 at seed 1)."""
         for q_star, variance in ((1e-300, 1e300), (1.0, 1e308)):
             init = solve_init("crelu", 0.85, q_star, 0.7)
-            config = SimConfig(init=init, depth=4, width=8, batch=4, seed=1,
+            config = SimConfig(init=init, depth=4, width=64, batch=4, seed=1,
                                input_variance=variance)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 stats = run_forward(config)
-            assert stats[0].q_hat / variance == pytest.approx(0.8389961418427895, rel=1e-12)
+            assert stats[0].q_hat / variance == pytest.approx(1.2414090771155475, rel=1e-12)
             for st in stats[1:]:
                 assert 0.0 < st.sparsity_hat < 1.0
                 assert 1.0 < st.q_hat / q_star < 10.0
