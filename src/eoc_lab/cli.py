@@ -17,8 +17,10 @@ an explicit ``--seed``.
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible target,
 3 runtime divergence.
 
-A JSON file passed via ``--config`` supplies defaults for any flag of the
-subcommand (keys use the flag's destination name); explicit flags win.
+A JSON file passed via ``--config`` stands for flags of the subcommand:
+each key, a flag's destination name, becomes that flag with the value's
+command-line text, parsed with the command line and placed before it, so
+explicit flags win and a bad value gets the error that names its flag.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _emit_json(doc: dict, path: str | None = None) -> None:
     # included, reads back exactly as it was written
     doc = json.loads(json.dumps(doc), parse_constant=lambda token: None)
     text = json.dumps(doc, indent=2) + "\n"
-    if path:
+    if path is not None:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
@@ -113,9 +115,9 @@ def _publish(args, doc: dict, table=None) -> None:
 
 
 def _check_writable(*paths) -> None:
-    """Open each given output path for writing, so that one that cannot be
-    written fails before any work; a file this creates is removed again."""
-    for path in filter(None, paths):
+    """Open each output path that is not None for writing, so that one that
+    cannot be written fails before any work; a file this creates is removed."""
+    for path in (p for p in paths if p is not None):
         existed = os.path.exists(path)
         with open(path, "a"):
             pass
@@ -308,7 +310,7 @@ def _cmd_sweep(args) -> int:
         "s_list": args.s_list,
         "q_star_range": list(args.qstar_range),
         "m_range": list(args.m_range),
-        "anchor_q_star": args.qstar,
+        "anchor_q_star": anchor if vmap else None,
         "gain_resolved_per_cell": True,
     }
     _publish(args, doc, (header, _GridRows(axes, chunks)))
@@ -375,7 +377,7 @@ def _cmd_train(args) -> int:
     _require(args, ["depth", "width", "epochs", "lr", "batch"])
     config = _run_config(trainer.TrainConfig, args)
     report = trainer.train(config)
-    if args.log_csv:
+    if args.log_csv is not None:
         rows = [tuple(map(_fmt, row)) for row in report.log_rows()]
         _write_csv(args.log_csv, trainer.LOG_COLUMNS, rows)
     _publish(args, {"config": config.to_dict(), "report": report.to_dict()})
@@ -398,7 +400,7 @@ def _add_command(subs, name, func, summary, out_help):
     """
     sp = subs.add_parser(name, help=summary, allow_abbrev=False)
     sp.add_argument("--out", help=out_help)
-    sp.add_argument("--config", help="JSON file with default values for these flags")
+    sp.add_argument("--config", help="JSON file of values for these flags")
     sp.set_defaults(func=func, parser=sp)
     return sp
 
@@ -468,43 +470,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_value(action, key, value):
-    """A --config value, read as the flag reads its command-line text: a
-    JSON string as written, a number as its JSON text.  Switches take
-    true or false."""
-    if value is None:
-        return value
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ValueError(f"--config key {key!r}: expected true or false")
-        return value
-    text = value if isinstance(value, str) else json.dumps(value)
-    try:
-        value = action.type(text) if action.type else text
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"--config key {key!r}: {exc}") from None
-    except ValueError:
-        raise ValueError(
-            f"--config key {key!r}: invalid {action.type.__name__} value: {text}"
-        ) from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
-    return value
-
-
-def _apply_config_defaults(parser, args, argv) -> argparse.Namespace:
-    """Re-parse with values from --config installed as defaults."""
-    with open(args.config) as fh:
+def _config_flags(sub, path) -> list[str]:
+    """The flags a --config file stands for, for the subcommand parser
+    ``sub``: each key's option, ``=`` and the value's command-line text (a
+    string as written, a number as its JSON text).  A switch's key is its
+    option for true and nothing for false; null is nothing."""
+    with open(path) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("--config must contain a JSON object")
-    sub = args.parser
-    actions = {a.dest: a for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = set(loaded) - set(actions)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    sub.set_defaults(**{k: _config_value(actions[k], k, v) for k, v in loaded.items()})
-    return parser.parse_args(argv)
+    flags = []
+    for key, value in loaded.items():
+        option = actions[key].option_strings[0]
+        if actions[key].nargs == 0:
+            if value is not None and not isinstance(value, bool):
+                raise ValueError(f"--config key {key!r}: expected true or false")
+            if value:
+                flags.append(option)
+        elif value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"{option}={text}")
+    return flags
 
 
 def main(argv=None) -> int:
@@ -515,8 +505,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if args.config:
-            args = _apply_config_defaults(parser, args, argv)
+        if args.config is not None:
+            # after the command name and before the user's flags, so that
+            # an explicit flag wins as the last occurrence
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args.parser, args.config),
+                                      *argv[at:]])
         _check_writable(args.out, getattr(args, "log_csv", None))
         return args.func(args)
     except InfeasibleTargetError as exc:

@@ -103,8 +103,8 @@ def load_digits_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load the 8x8 grayscale digit CSV.
 
     Schema: header ``label,pixel_0,...,pixel_63``; labels are integers in
-    [0, 9] and pixels floats in [0, 16], with at least as many rows as the
-    train, validation and test splits need.
+    [0, 9] and pixels finite numbers in [0, 16] (NaN is not), with at least
+    as many rows as the train, validation and test splits need.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -115,17 +115,22 @@ def load_digits_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if not row:
                 raise ValueError(f"digit CSV line {reader.line_num} is blank")
-            labels.append(int(row[0]))
-            pixels = [float(v) for v in row[1:]]
+            try:
+                labels.append(int(row[0]))
+                pixels = [float(v) for v in row[1:]]
+            except ValueError:
+                raise ValueError(
+                    f"digit CSV line {reader.line_num} has a field that is not a number"
+                ) from None
             if len(pixels) != 64:
                 raise ValueError("digit CSV row does not have 64 pixels")
             rows.append(pixels)
     _check_sample_count("digit CSV data rows", len(rows))
     x = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if x.min() < 0.0 or x.max() > 16.0:
+    if not np.all((x >= 0.0) & (x <= 16.0)):
         raise ValueError("digit pixels must lie in [0, 16]")
-    if y.min() < 0 or y.max() > 9:
+    if not np.all((y >= 0) & (y <= 9)):
         raise ValueError("digit labels must lie in [0, 9]")
     return x, y
 

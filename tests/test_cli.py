@@ -445,6 +445,18 @@ class TestSweep:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("quantity, anchor", [("vmap_curve", 1.0), ("Vprime", None)])
+    def test_header_reports_the_anchor_used(self, tmp_path, capsys, quantity, anchor):
+        """Without --qstar, vmap_curve anchors at q* = 1.0 and its header
+        says so, as every row does; no other quantity has an anchor."""
+        out = tmp_path / "grid.csv"
+        assert cli.main(["sweep", "--quantity", quantity, "--activation", "crelu",
+                         "--sparsity", "0.85", "--qstar-range", "0.5:3:3", "--m-range", "1:2:2",
+                         "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["anchor_q_star"] == anchor
+        if anchor is not None:
+            assert {row["anchor_q_star"] for row in read_csv(out)} == {repr(anchor)}
+
     @pytest.mark.parametrize("quantity", cli.SWEEP_QUANTITIES)
     def test_rows_are_sized_as_written(self, tmp_path, monkeypatch, capsys, quantity):
         """The rows handed to _write_csv report, before they are written,
@@ -936,11 +948,27 @@ def test_unwritable_table_output_fails_before_any_work(tmp_path, monkeypatch, ca
                   "--qstar-range", "0.09:3:6", "--m-range", "0.5:3:6"],
         "nlo": [*init, "--depth", "10"],
     }[command]
-    out = tmp_path / "missing" / "t.csv"
-    assert cli.main([command, *flags, "--out", str(out)]) == 1
+    for out in (str(tmp_path / "missing" / "t.csv"), ""):
+        assert cli.main([command, *flags, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert repr(out) in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7",
+               "--out"]),
+    ("train", ["--activation", "relu", "--qstar", "1", "--depth", "6", "--width", "16",
+               "--epochs", "3", "--lr", "0.1", "--batch", "16", "--log-csv"]),
+], ids=["solve", "train"])
+def test_empty_output_path_fails_before_any_work(monkeypatch, capsys, command, flags):
+    """An empty output path is a path that cannot be written, not stdout or
+    "no log": exit 1 before any work, naming it, with nothing on stdout."""
+    monkeypatch.setattr(cli.maps, "diagnostics", lambda *a: pytest.fail("solved"))
+    monkeypatch.setattr(cli.trainer, "train", lambda config: pytest.fail("trained"))
+    assert cli.main([command, *flags, ""]) == 1
     captured = capsys.readouterr()
-    assert str(out) in captured.err and captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert "No such file or directory: ''" in captured.err and captured.out == ""
 
 
 # the flags each command needs besides the init flags, to reach its init
@@ -1068,6 +1096,8 @@ class TestTrainCommand:
         ("empty_file", "digit CSV header does not match label,pixel_0..pixel_63"),
         ("label_past_n_classes", "digit label 9 needs n_classes of at least 10,"
                                  " config says 3"),
+        ("nan_pixel", "digit pixels must lie in [0, 16]"),
+        ("word_pixel", "digit CSV line 5 has a field that is not a number"),
     ])
     def test_malformed_digit_csv_is_usage_error(self, tmp_path, case, cause):
         """The digit file gets the checks the synthetic data gets from its
@@ -1085,6 +1115,8 @@ class TestTrainCommand:
             "blank_row": header + rows(3) + "\n" + rows(9),
             "empty_file": "",
             "label_past_n_classes": header + rows(20, classes=10),
+            "nan_pixel": header + rows(9) + "1,nan" + ",3" * 63 + "\n" + rows(9),
+            "word_pixel": header + rows(3) + "1,three" + ",3" * 63 + "\n" + rows(9),
         }[case]
         path = tmp_path / "digits.csv"
         path.write_text(text)
@@ -1333,19 +1365,59 @@ class TestConfigFile:
                         "-s", "0.85", "--qstar", "1", "--vprime", "0.7"])
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("key, value", [("depth", 5.5), ("seed", 1.5),
-                                            ("backward", "false")])
-    def test_wrongly_typed_value_is_usage_error(self, tmp_path, key, value):
-        """Config values pass the flag's own type check, as flags do."""
+    @pytest.mark.parametrize("key, value, error", [
+        pytest.param("depth", 5.5, "argument --depth: invalid int value: '5.5'", id="depth-5.5"),
+        pytest.param("seed", 1.5, "argument --seed: invalid int value: '1.5'", id="seed-1.5"),
+        pytest.param("backward", "false", "--config key 'backward': expected true or false",
+                     id="backward-false"),
+    ])
+    def test_wrongly_typed_value_is_usage_error(self, tmp_path, key, value, error):
+        """Config values pass the flag's own type check, and get the error
+        that names the flag, as flags do; a switch takes true or false."""
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "sim.csv"
         cfg.write_text(json.dumps({"depth": 4, "seed": 7, "out": str(out), key: value}))
         proc = run_cli(["simulate", "--config", str(cfg), "--activation", "crelu",
                         "-s", "0.85", "--qstar", "1", "--vprime", "0.7", "--width", "64"])
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"error: {error}"
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("simulate",
+         {"activation": "crelu", "sparsity": 0.85, "qstar": 1, "vprime": 0.7, "depth": 4,
+          "width": 32, "batch": 8, "seed": 7, "backward": True, "input_variance": None},
+         ["--activation", "crelu", "-s", "0.85", "--qstar", "1", "--vprime", "0.7",
+          "--depth", "4", "--width", "32", "--batch", "8", "--seed", "7", "--backward"]),
+        ("correlate",
+         {"activation": "cst", "sparsity": 0.85, "qstar": 2.5, "m": 1.5, "vprime": None,
+          "depth": 3, "width": 32, "batch": 8, "seed": 3, "rho0": -0.5},
+         ["--activation", "cst", "-s", "0.85", "--qstar", "2.5", "--m", "1.5",
+          "--depth", "3", "--width", "32", "--batch", "8", "--seed", "3", "--rho0", "-0.5"]),
+        ("sweep",
+         {"quantity": "vmap_curve", "activation": "crelu", "s_list": "0.8,0.85",
+          "qstar_range": "0.5:3:4", "m_range": "1:2:3", "qstar": None},
+         ["--quantity", "vmap_curve", "--activation", "crelu", "--sparsity", "0.8,0.85",
+          "--qstar-range", "0.5:3:4", "--m-range", "1:2:3"]),
+    ], ids=["simulate", "correlate", "sweep"])
+    def test_config_is_the_flags_it_stands_for(self, tmp_path, capsys, command, config,
+                                                flags):
+        """A config file and the same flags on the command line give the same
+        stdout and CSV, byte for byte: a switch's true is its flag, null is
+        no flag, and a value may start with '-'.  A help or config key is no
+        flag of the file's and exits 1."""
+        out, cfg = tmp_path / "out.csv", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        written = []
+        for argv in ([command, *flags], [command, "--config", str(cfg)]):
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            written.append((capsys.readouterr(), out.read_bytes()))
+        assert written[0] == written[1]
+        for key, value in (("help", True), ("config", str(cfg))):
+            cfg.write_text(json.dumps({**config, key: value}))
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: unknown config keys: [{key!r}]\n")
 
     def test_value_outside_choices_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1355,7 +1427,7 @@ class TestConfigFile:
                         "--sparsity", "0.85", "--qstar-range", "0.5:3:3",
                         "--m-range", "1:2:2", "--out", str(out)])
         assert proc.returncode == 1
-        assert "'quantity'" in proc.stderr
+        assert "error: argument --quantity: invalid choice: 'Vprim'" in proc.stderr
         assert not out.exists()
 
 
