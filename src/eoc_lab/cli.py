@@ -21,6 +21,10 @@ A JSON file passed via ``--config`` stands for flags of the subcommand:
 each key, a flag's destination name, becomes that flag with the value's
 command-line text, parsed with the command line and placed before it, so
 explicit flags win and a bad value gets the error that names its flag.
+
+A flag that is not a switch is None until given, on the command line or as
+a ``--config`` key, so a run flag left out takes its field's default in
+``SimConfig`` or ``TrainConfig``, and an unread flag is refused when given.
 """
 
 from __future__ import annotations
@@ -141,11 +145,11 @@ def _add_init_flags(sub, with_m: bool = True):
                          help="clip level given directly instead of --vprime")
 
 
-def _add_run_flags(sub, batch: int | None = 64):
+def _add_run_flags(sub):
     sub.add_argument("--depth", type=int)
     sub.add_argument("--width", type=int)
-    sub.add_argument("--batch", type=int, default=batch)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--batch", type=int)
+    sub.add_argument("--seed", type=int)
 
 
 def _check_flags(args, names, given, problem):
@@ -176,9 +180,10 @@ def _build_init(args) -> EocInit:
 
 def _run_config(cls, args):
     """A run config of class ``cls``: the initialisation the flags give,
-    and every other field from the flag of the same name, where the
-    command has one (the field's default otherwise)."""
-    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    and every other field from the flag of the same name.  A flag is None
+    until given, so a field whose flag is not given (or that the command
+    has no flag for) takes the field's default."""
+    given = {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
     return cls(init=_build_init(args), **given)
 
 
@@ -349,7 +354,7 @@ def _cmd_simulate(args) -> int:
     _require(args, ["depth", "width", "out"])
     config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_backward(config) if args.backward else simulator.run_forward(config)
-    rows = [tuple(map(_fmt, st.to_row())) for st in stats]
+    rows = [tuple(map(_fmt, astuple(st))) for st in stats]
     _publish(args, {"config": config.to_dict(), "backward": args.backward},
              (simulator.CSV_COLUMNS, rows))
     return EXIT_OK
@@ -359,7 +364,7 @@ def _cmd_correlate(args) -> int:
     _require(args, ["depth", "width", "rho0", "out"])
     config = _run_config(simulator.SimConfig, args)
     stats = simulator.run_correlation(config, args.rho0)
-    rows = [tuple(map(_fmt, st.to_row())) for st in stats]
+    rows = [tuple(map(_fmt, astuple(st))) for st in stats]
     _publish(args, {"config": config.to_dict(), "rho0": args.rho0},
              (simulator.CSV_COLUMNS, rows))
     return EXIT_OK
@@ -375,6 +380,8 @@ def _cmd_jacobian(args) -> int:
 
 def _cmd_train(args) -> int:
     _require(args, ["depth", "width", "epochs", "lr", "batch"])
+    if args.dataset == trainer.SMALL_DIGITS:
+        _check_flags(args, ["n_samples"], True, "flag(s) read only by --dataset synthetic-blobs")
     config = _run_config(trainer.TrainConfig, args)
     report = trainer.train(config)
     if args.log_csv is not None:
@@ -457,14 +464,14 @@ def build_parser() -> _Parser:
     sp = _add_command(subs, "train", _cmd_train, "desk-scale MLP training demo",
                       "write the JSON report here instead of stdout")
     _add_init_flags(sp)
-    _add_run_flags(sp, batch=None)
-    sp.add_argument("--dataset", choices=trainer.DATASETS, default=trainer.SYNTHETIC_BLOBS)
+    _add_run_flags(sp)
+    sp.add_argument("--dataset", choices=trainer.DATASETS)
     sp.add_argument("--data-csv", help="digit CSV path for small-digits")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--lr", type=float)
-    sp.add_argument("--n-samples", type=int, default=2000)
-    sp.add_argument("--input-dim", type=int, default=64)
-    sp.add_argument("--n-classes", type=int, default=10)
+    sp.add_argument("--n-samples", type=int)
+    sp.add_argument("--input-dim", type=int)
+    sp.add_argument("--n-classes", type=int)
     sp.add_argument("--log-csv", help="per-step CSV training log path")
 
     return parser

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -101,9 +101,6 @@ class LayerStats:
     chi1_hat: float
     v_hat: float | None = None
     rho_hat: float | None = None
-
-    def to_row(self) -> list:
-        return list(astuple(self))
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(LayerStats))

@@ -46,7 +46,7 @@ class TrainConfig:
     epochs: int
     lr: float
     batch: int
-    seed: int
+    seed: int = 0
     dataset: str = SYNTHETIC_BLOBS
     data_csv: str | None = None
     n_samples: int = 2000
@@ -56,8 +56,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError("depth must be at least 2 (first affine plus classifier)")
-        if self.width < 2 or self.batch < 1 or self.epochs < 1:
-            raise ValueError("width, batch and epochs must be positive")
+        if self.width < 2:
+            raise ValueError("width must be at least 2")
+        if self.batch < 1:
+            raise ValueError("batch must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         _check_seed(self.seed)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
@@ -69,9 +73,9 @@ class TrainConfig:
         _check_sample_count("n_samples", self.n_samples)
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.dataset == SMALL_DIGITS and not self.data_csv:
+        if self.dataset == SMALL_DIGITS and self.data_csv is None:
             raise ValueError("small-digits requires data_csv")
-        if self.data_csv and self.dataset != SMALL_DIGITS:
+        if self.data_csv is not None and self.dataset != SMALL_DIGITS:
             raise ValueError(
                 f"data_csv {self.data_csv!r} is read only by dataset {SMALL_DIGITS!r},"
                 f" got dataset {self.dataset!r}"

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -867,7 +868,7 @@ class TestSimulateAndCorrelate:
             else:
                 flags += ["--rho0", "0.5"]
                 stats = simulator.run_correlation(config, 0.5)
-            header, rows = simulator.CSV_COLUMNS, [st.to_row() for st in stats]
+            header, rows = simulator.CSV_COLUMNS, [astuple(st) for st in stats]
         assert cli.main([command, *flags, "--out", str(out)]) == 0
         capsys.readouterr()
         write_csv_rowwise(expected, header, rows)
@@ -971,6 +972,8 @@ def test_empty_output_path_fails_before_any_work(monkeypatch, capsys, command, f
     assert "No such file or directory: ''" in captured.err and captured.out == ""
 
 
+_TRAIN_RUN = ["--depth", "2", "--width", "8", "--epochs", "1", "--lr", "0.1", "--batch", "16"]
+
 # the flags each command needs besides the init flags, to reach its init
 _INIT_COMMANDS = {
     "solve": [],
@@ -979,7 +982,7 @@ _INIT_COMMANDS = {
     "simulate": _RUN,
     "correlate": [*_RUN, "--rho0", "0.5"],
     "jacobian": ["--depth", "5"],
-    "train": ["--depth", "2", "--width", "8", "--epochs", "1", "--lr", "0.1", "--batch", "16"],
+    "train": _TRAIN_RUN,
 }
 _INIT_OPTIONS = {"activation": "--activation", "sparsity": "-s", "vprime": "--vprime", "m": "--m"}
 _UNREAD_INITS = {
@@ -1012,6 +1015,29 @@ def test_unread_init_flags_are_usage_errors(tmp_path, capsys, command, init, mes
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, defaults", [
+    ("simulate", [*_CRELU, "--qstar", "1", "--depth", "4", "--width", "32"],
+     ["--batch", "64", "--seed", "0"]),
+    ("correlate", [*_CST, "--qstar", "1", "--depth", "3", "--width", "32", "--rho0", "0.5"],
+     ["--batch", "64", "--seed", "0"]),
+    ("train", ["--activation", "relu", "--qstar", "1", *_TRAIN_RUN],
+     ["--seed", "0", "--dataset", "synthetic-blobs", "--n-samples", "2000",
+      "--input-dim", "64", "--n-classes", "10"]),
+])
+def test_omitted_run_flags_take_the_library_defaults(tmp_path, capsys, command, flags,
+                                                     defaults):
+    """A run flag left out takes its field's default in SimConfig or
+    TrainConfig: the same stdout and CSV, byte for byte, as with those
+    defaults spelled out."""
+    out = tmp_path / "out.csv"
+    table = "--log-csv" if command == "train" else "--out"
+    written = []
+    for argv in ([command, *flags], [command, *flags, *defaults]):
+        assert cli.main([*argv, table, str(out)]) == 0
+        written.append((capsys.readouterr(), out.read_bytes()))
+    assert written[0] == written[1]
 
 
 class TestTrainCommand:
@@ -1053,6 +1079,44 @@ class TestTrainCommand:
         assert rc == 1
         assert str(paths[bad]) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_n_samples_is_read_only_by_synthetic_blobs(self, tmp_path, monkeypatch, capsys,
+                                                       route):
+        """small-digits takes its samples from the file: --n-samples given
+        with it, as a flag or a --config key, is a usage error naming it,
+        before any training, and no report is written."""
+        monkeypatch.setattr(cli.trainer, "train", lambda config: pytest.fail("trained"))
+        digits = tmp_path / "digits.csv"
+        digits.write_text("label," + ",".join(f"pixel_{i}" for i in range(64)) + "\n"
+                          + "".join(f"{i % 10}," + ",".join(["3"] * 64) + "\n"
+                                    for i in range(20)))
+        if route == "flag":
+            given = ["--n-samples", "500"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_samples": 500}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "report.json"
+        assert cli.main(["train", *given, "--activation", "relu", "--qstar", "1",
+                         "--dataset", "small-digits", "--data-csv", str(digits), *_TRAIN_RUN,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: flag(s) read only by --dataset synthetic-blobs: --n-samples\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ([], "data_csv '' is read only by dataset 'small-digits', got dataset 'synthetic-blobs'"),
+        (["--dataset", "small-digits"], "[Errno 2] No such file or directory: ''"),
+    ], ids=["synthetic-blobs", "small-digits"])
+    def test_empty_data_csv_counts_as_given(self, tmp_path, capsys, dataset, message):
+        """An empty --data-csv is a path like any other: refused with
+        synthetic-blobs, and a file that cannot be read with small-digits."""
+        out = tmp_path / "report.json"
+        assert cli.main(["train", "--activation", "relu", "--qstar", "1", *dataset,
+                         "--data-csv", "", *_TRAIN_RUN, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, lr):
@@ -1265,8 +1329,8 @@ _DEPTH = {("--depth",): ("depth", None, None)}
 _SIM_FLAGS = {
     **_DEPTH,
     ("--width",): ("width", None, None),
-    ("--batch",): ("batch", 64, None),
-    ("--seed",): ("seed", 0, None),
+    ("--batch",): ("batch", None, None),
+    ("--seed",): ("seed", None, None),
 }
 
 
@@ -1306,14 +1370,14 @@ class TestFlagSurface:
             **_INIT_FLAGS, **_M_FLAG, **_OUT_FLAGS, **_DEPTH,
             ("--width",): ("width", None, None),
             ("--batch",): ("batch", None, None),
-            ("--seed",): ("seed", 0, None),
-            ("--dataset",): ("dataset", "synthetic-blobs", ["synthetic-blobs", "small-digits"]),
+            ("--seed",): ("seed", None, None),
+            ("--dataset",): ("dataset", None, ["synthetic-blobs", "small-digits"]),
             ("--data-csv",): ("data_csv", None, None),
             ("--epochs",): ("epochs", None, None),
             ("--lr",): ("lr", None, None),
-            ("--n-samples",): ("n_samples", 2000, None),
-            ("--input-dim",): ("input_dim", 64, None),
-            ("--n-classes",): ("n_classes", 10, None),
+            ("--n-samples",): ("n_samples", None, None),
+            ("--input-dim",): ("input_dim", None, None),
+            ("--n-classes",): ("n_classes", None, None),
             ("--log-csv",): ("log_csv", None, None),
         },
     }

@@ -200,6 +200,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
             small_config(lr=lr)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("width", 1, "width must be at least 2"),
+        ("batch", 0, "batch must be at least 1"),
+        ("epochs", 0, "epochs must be at least 1"),
+    ], ids=["width", "batch", "epochs"])
+    def test_each_size_is_checked_against_its_own_bound(self, field, value, message):
+        small_config(width=2, batch=1, epochs=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(**{field: value})
+
     def test_data_csv_needs_small_digits(self):
         with pytest.raises(ValueError, match="data_csv 'd.csv' is read only by dataset "
                                              "'small-digits', got dataset 'synthetic-blobs'"):
