@@ -129,6 +129,21 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
+def _check_distinct(args, outputs, inputs) -> None:
+    """Refuse an output flag whose path names the same file as an input or
+    an earlier output flag, which writing it would replace."""
+    flags = {a.dest: a.option_strings[0] for a in args.parser._actions}
+    seen = {}
+    for dest in (*inputs, *outputs):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen and dest in outputs:
+            raise ValueError(f"{flags[dest]} {path!r} names the same file as {seen[real]}")
+        seen.setdefault(real, flags[dest])
+
+
 # --------------------------------------------------------------------------
 # shared flags
 # --------------------------------------------------------------------------
@@ -235,8 +250,8 @@ def _sweep_block(quantity, kind, tau, q_grid, m_grid, anchor):
     sparsity's threshold down the q* axis (at ``anchor`` for vmap_curve,
     whose axes are (m, q) instead of (q*, m)) and the gain is re-solved at
     the cell's q*.  A cell whose gain does not exist reads nan; so does a
-    cell that fails the solver's feasibility predicate, for the quantities
-    that need the whole initialisation.
+    cell the solver's verdict refuses, for the quantities that need the
+    whole initialisation.
 
     The values are yielded as lists of floats, a chunk of rows of the
     leading axis at a time (``_CSV_CHUNK`` cells, or one row if longer).
@@ -249,18 +264,17 @@ def _sweep_block(quantity, kind, tau, q_grid, m_grid, anchor):
         rows = lead[i:i + step, None]
         t, m, q_star = (tau, rows, anchor) if vmap else (tau[i:i + step], m_grid, rows)
         k = _Kernel(kind, t, m, q_star)
-        sw2, sb2 = solver._critical(k)
-        failure = solver._failure(k, sw2, sb2, q_star)
+        sw2, sb2, verdict = solver._critical(k)
         with np.errstate(divide="ignore", invalid="ignore"):
             if quantity in _GAIN_QUANTITIES:
                 values = getattr(k, _GAIN_QUANTITIES[quantity])(sw2)
-                infeasible = failure == solver._SATURATED
+                infeasible = verdict == solver._SATURATED
             elif quantity == "nlo_bound":
                 values = finite_width._envelope(k, sw2)
-                infeasible = failure >= 0
+                infeasible = verdict >= 0
             else:
                 values = _Kernel(kind, t, m, q_grid).v(sw2, sb2)
-                infeasible = failure >= 0
+                infeasible = verdict >= 0
             yield np.where(infeasible, np.nan, values).ravel().tolist()
 
 
@@ -518,6 +532,7 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_flags(args.parser, args.config),
                                       *argv[at:]])
+        _check_distinct(args, ("out", "log_csv"), ("config", "data_csv"))
         _check_writable(args.out, getattr(args, "log_csv", None))
         return args.func(args)
     except InfeasibleTargetError as exc:

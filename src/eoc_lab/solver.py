@@ -45,19 +45,15 @@ X_BRACKET = (1e-4, 50.0)
 # intervals of the sign-change scan that brackets the fixed points
 _FP_GRID = 2000
 
-# |V(q*) - q*| and |chi1(q*) - 1| accepted for a solved initialisation
-_FIXED_POINT_TOL = 1e-9
 # |V(root) - root| / root accepted when reporting a fixed point
 _FIXED_POINT_REPORT_TOL = 1e-8
 
-# the conditions a critical initialisation must meet, in the order they are
-# checked; _failure indexes into this tuple
+# the two ways a critical initialisation fails, in the order _critical tests
+# them; its verdict indexes into this tuple
 _INFEASIBLE = (
     "activation is fully saturated; chi1 cannot reach 1",
-    "required bias variance is negative ({sb2:.6g}); "
+    "required bias variance is negative or nan ({sb2:.6g}); "
     "the fixed point q*={q_star} is unreachable for this activation",
-    "chi1(q*) = {chi1!r} deviates from 1 beyond {tol}",
-    "V(q*) = {v!r} deviates from q* beyond {tol}",
 )
 _SATURATED = 0
 
@@ -97,10 +93,12 @@ def _bisect(f, lo: float, hi: float) -> float:
 class EocInit:
     """A complete critical initialisation.
 
-    Invariants: chi1(q*) = 1 and V(q*) = q* to within the fixed-point
-    tolerance.  The constructors :func:`solve_init`, :func:`init_from_m`
-    and :func:`relu_init` check them; the dataclass itself does not, so an
-    instance built by hand (or by ``from_dict``) is taken as given.
+    Invariants: chi1(q*) = 1 and V(q*) = q*, which hold by construction,
+    sw2 and sb2 being their closed-form solutions.  The constructors
+    :func:`solve_init`, :func:`init_from_m` and :func:`relu_init` refuse a
+    saturated activation and a negative or nan sb2; the dataclass itself
+    checks nothing, so an instance built by hand (or by ``from_dict``) is
+    taken as given.
     ``v_prime_at_fp`` is the achieved slope V'(q*), which for the one-sided
     family equals the requested target up to root-finder tolerance.
     """
@@ -147,44 +145,27 @@ def sparsity_threshold(kind: str, s: float, q_star):
 
 
 def _critical(k: _Kernel):
-    """Gain and bias variance of the critical initialisation, per cell.
+    """Gain, bias variance and verdict of the critical initialisation, per cell.
 
     ``k`` is the kernel at q*; sw2 = 1 / P(phi' = 1) makes chi1(q*) = 1 and
-    sb2 = q* - sw2 E[phi^2] places the fixed point.
+    sb2 = q* - sw2 E[phi^2] makes V(q*) = q*.  The verdict, over the arrays
+    of ``k``, indexes into _INFEASIBLE the first condition a cell breaks and
+    reads -1 where the initialisation exists; a nan sb2 fails as negative.
+    The solver raises from it and the sweep masks with it, so both apply
+    the same rules.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sw2 = 1.0 / k.linear
-        return sw2, k.bias_variance(sw2)
-
-
-def _failure(k: _Kernel, sw2, sb2, q_star):
-    """Index into _INFEASIBLE of the first condition each cell breaks.
-
-    Everything broadcasts over the arrays of ``k``, the kernel at q*, and
-    cells that meet every condition read -1.  The solver raises from this
-    predicate and the sweep masks with it, so both apply the same rules.
-    A nan fails the tolerance tests, so a nan sb2 reaches the V test.
-    V(q*) - q* is sw2 E[phi^2] - (q* - sb2), finite where V(q*) overflows.
-    """
-    v_tol = _FIXED_POINT_TOL * np.maximum(1.0, q_star)
-    with np.errstate(invalid="ignore"):
-        return np.select(
-            [
-                np.logical_not(k.linear > 0.0),
-                sb2 < 0.0,
-                np.logical_not(np.abs(k.chi1(sw2) - 1.0) <= _FIXED_POINT_TOL),
-                np.logical_not(np.abs(sw2 * k.second - (q_star - sb2)) <= v_tol),
-            ],
-            range(len(_INFEASIBLE)),
-            -1,
-        )
+        sb2 = k.bias_variance(sw2)
+        verdict = np.select([np.logical_not(k.linear > 0.0), np.logical_not(sb2 >= 0.0)],
+                            range(len(_INFEASIBLE)), -1)
+    return sw2, sb2, verdict
 
 
 def critical_gain(spec: ActivationSpec, q_star: float) -> float:
     """The weight variance making chi1(q*) = 1, in closed form."""
-    k = _Kernel.at(spec, q_star)
-    sw2, sb2 = _critical(k)
-    if _failure(k, sw2, sb2, q_star) == _SATURATED:
+    sw2, _, verdict = _critical(_Kernel.at(spec, q_star))
+    if verdict == _SATURATED:
         raise InfeasibleTargetError(_INFEASIBLE[_SATURATED])
     return float(sw2)
 
@@ -212,13 +193,9 @@ def _solve_clip_level(s: float, q_star: float, v_prime_target: float) -> float:
 
 def _finish_init(spec: ActivationSpec, s: float, q_star: float) -> EocInit:
     k = _Kernel.at(spec, q_star)
-    sw2, sb2 = _critical(k)
-    failure = int(_failure(k, sw2, sb2, q_star))
-    if failure >= 0:
-        with np.errstate(invalid="ignore"):
-            chi1, v = float(k.chi1(sw2)), float(k.v(sw2, sb2))
-        raise InfeasibleTargetError(_INFEASIBLE[failure].format(
-            sb2=float(sb2), q_star=q_star, chi1=chi1, v=v, tol=_FIXED_POINT_TOL))
+    sw2, sb2, verdict = _critical(k)
+    if verdict >= 0:
+        raise InfeasibleTargetError(_INFEASIBLE[verdict].format(sb2=float(sb2), q_star=q_star))
     return EocInit(spec=spec, q_star=q_star, sw2=float(sw2), sb2=float(sb2), s=s,
                    v_prime_at_fp=float(k.v_prime(sw2)))
 

@@ -387,7 +387,8 @@ def train(config: TrainConfig) -> TrainReport:
     report = TrainReport()
     report.steps_per_epoch = max(1, math.ceil(len(x_tr) / config.batch))
     report.sparsity_at_init = observed_sparsity(params, spec, x_tr)
-    work = _Workspace(params, config.batch)
+    # no minibatch is longer than the training split
+    work = _Workspace(params, min(config.batch, len(x_tr)))
 
     shuffle_rng = _philox(config.seed, 3000)
     step = 0

@@ -585,19 +585,18 @@ def _whole_block(quantity, kind, s, q_grid, m_grid, anchor):
         q_star, m = q_grid[:, None], m_grid
     tau = sparsity_threshold(kind, s, q_star)
     k = _Kernel(kind, tau, m, q_star)
-    sw2, sb2 = solver._critical(k)
-    failure = solver._failure(k, sw2, sb2, q_star)
+    sw2, sb2, verdict = solver._critical(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         if quantity == "Vprime":
-            values, infeasible = k.v_prime(sw2), failure == solver._SATURATED
+            values, infeasible = k.v_prime(sw2), verdict == solver._SATURATED
         elif quantity == "Vprimeprime":
-            values, infeasible = k.v_prime2(sw2), failure == solver._SATURATED
+            values, infeasible = k.v_prime2(sw2), verdict == solver._SATURATED
         elif quantity == "chi1prime":
-            values, infeasible = k.chi1_prime(sw2), failure == solver._SATURATED
+            values, infeasible = k.chi1_prime(sw2), verdict == solver._SATURATED
         elif quantity == "nlo_bound":
-            values, infeasible = finite_width._envelope(k, sw2), failure >= 0
+            values, infeasible = finite_width._envelope(k, sw2), verdict >= 0
         else:
-            values, infeasible = _Kernel(kind, tau, m, q_grid).v(sw2, sb2), failure >= 0
+            values, infeasible = _Kernel(kind, tau, m, q_grid).v(sw2, sb2), verdict >= 0
         return np.where(infeasible, np.nan, values).ravel()
 
 
@@ -630,6 +629,20 @@ class TestFixedPointsCommand:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["report"]["search_interval"] == [0.05, 1e308]
+
+    def test_negative_bias_variance_near_the_float_limit_raises_no_warning(self):
+        """At q* = 9.47e307 the required sb2 is negative beyond the float
+        range: exit 2 naming it, with no overflow warning."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "eoc_lab", "fixed-points",
+             "--activation", "crelu", "-s", "0.999957011756169",
+             "--qstar", "9.468370075054572e+307", "--m", "1.5446700032248734e+142"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        message = json.loads(proc.stdout)["error"]["message"]
+        assert message.startswith("required bias variance is negative"), message
 
 
 class TestNlo:
@@ -1079,6 +1092,27 @@ class TestTrainCommand:
         assert rc == 1
         assert str(paths[bad]) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "{dir}/r.txt", "--log-csv", "r.txt"],
+         "--log-csv 'r.txt' names the same file as --out"),
+        (["--dataset", "small-digits", "--data-csv", "{dir}/d.csv", "--out", "./d.csv"],
+         "--out './d.csv' names the same file as --data-csv"),
+    ], ids=["log-csv", "data-csv"])
+    def test_output_naming_another_path_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                   flags, message):
+        """An output path naming the file of another output or of the input,
+        however it is spelled, would replace it: exit 1 naming the path,
+        before any training, with the input untouched and no report."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.trainer, "train", lambda config: pytest.fail("trained"))
+        (tmp_path / "d.csv").write_text("label\n")
+        flags = [f.format(dir=tmp_path) for f in flags]
+        assert cli.main(["train", "--activation", "relu", "--qstar", "1", *_TRAIN_RUN,
+                         *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert (tmp_path / "d.csv").read_text() == "label\n"
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_n_samples_is_read_only_by_synthetic_blobs(self, tmp_path, monkeypatch, capsys,

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from eoc_lab import cli
@@ -243,12 +245,13 @@ class TestSolveInit:
             init_from_m("gelu", 0.85, 1.0, 1.0)
 
     def test_nan_second_moment_is_infeasible(self, monkeypatch):
-        """A nan E[phi^2] makes sb2 nan; the predicate reads nan as failing,
-        so the V condition names it instead of returning the init."""
+        """A nan E[phi^2] makes sb2 nan; the verdict reads nan as failing the
+        bias-variance condition, which names it instead of returning the init."""
         from eoc_lab import _moments
 
         monkeypatch.setattr(_moments._Kernel, "_second0", property(lambda self: math.nan))
-        with pytest.raises(InfeasibleTargetError, match=r"V\(q\*\) = nan deviates from q\*"):
+        with pytest.raises(InfeasibleTargetError,
+                           match=r"required bias variance is negative or nan \(nan\)"):
             init_from_m("crelu", 0.85, 1.0, 2.0)
 
     def test_inconsistent_init_fails_validation(self):
@@ -256,10 +259,35 @@ class TestSolveInit:
         from eoc_lab._moments import _Kernel
 
         init = solve_init("crelu", 0.85, 1.0, 0.7)
-        k = _Kernel.at(init.spec, init.q_star)
-        assert solver._failure(k, init.sw2, init.sb2, init.q_star) == -1
-        # a detuned gain breaks chi1(q*) = 1, the third condition
-        assert solver._failure(k, 1.1 * init.sw2, init.sb2, init.q_star) == 2
+        sw2, sb2, verdict = solver._critical(_Kernel.at(init.spec, init.q_star))
+        assert (sw2, sb2, verdict) == (init.sw2, init.sb2, -1)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(["crelu", "cst", "relu"]),
+           s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           log_q=st.floats(-300.0, 300.0), log_x=st.floats(-6.0, 3.0))
+    @example(kind="crelu", s=math.nextafter(1.0, 0.0), log_q=0.0, log_x=-6.0)  # saturated
+    @example(kind="cst", s=math.nextafter(1.0, 0.0), log_q=0.0, log_x=-6.0)  # sb2 < 0
+    def test_critical_meets_both_conditions_by_construction(self, kind, s, log_q, log_x):
+        """Where the verdict accepts a cell, chi1(q*) = 1 and V(q*) = q*
+        hold without being tested; it reads saturated exactly where
+        P(phi' = 1) is 0.  relu reads no s."""
+        from eoc_lab import solver
+        from eoc_lab._moments import _Kernel
+
+        assume(kind != "crelu" or s >= 0.5)
+        q_star = 10.0 ** log_q
+        if kind == "relu":
+            spec = ActivationSpec(kind)
+        else:
+            spec = ActivationSpec(kind, sparsity_threshold(kind, s, q_star),
+                                  10.0 ** log_x * math.sqrt(q_star))
+        k = _Kernel.at(spec, q_star)
+        sw2, sb2, verdict = solver._critical(k)
+        if verdict == -1:
+            assert abs(k.chi1(sw2) - 1.0) <= 1e-9
+            assert abs(sw2 * k.second - (q_star - sb2)) <= 1e-9 * max(1.0, q_star)
+        assert (verdict == solver._SATURATED) == (k.linear == 0.0)
 
     @pytest.mark.parametrize("init", [
         relu_init(3.0), solve_init("crelu", 0.85, 1.0, 0.7), solve_init("cst", 0.85, 2.0, 0.7),

@@ -232,6 +232,27 @@ class TestTraining:
         assert a.val_accuracies == b.val_accuracies
         assert a.test_accuracy == b.test_accuracy
 
+    def test_workspace_rows_are_capped_by_the_training_split(self, monkeypatch):
+        """A batch larger than the training split reserves the split's rows,
+        and trains as a batch of exactly those rows does.  The spy builds
+        its workspace at the smaller of the two, so no huge array is made."""
+        from eoc_lab import trainer
+
+        config = small_config(batch=10**6)
+        x_raw, y = make_blobs(config.seed, config.n_samples, config.input_dim, config.n_classes)
+        (x_tr, _), _, _ = train_val_test_split(x_raw, y, config.seed)
+        rows = []
+
+        class Spy(trainer._Workspace):
+            def __init__(self, params, n):
+                rows.append(n)
+                super().__init__(params, min(n, len(x_tr)))
+
+        monkeypatch.setattr(trainer, "_Workspace", Spy)
+        report = train(config)
+        assert rows == [len(x_tr)]
+        assert report.to_dict() == train(replace(config, batch=len(x_tr))).to_dict()
+
     def test_training_log_schema(self, tmp_path):
         config = small_config(epochs=2)
         report = train(config)
