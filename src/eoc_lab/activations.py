@@ -21,7 +21,7 @@ choice, and 0 matches the subgradient the trainer uses.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,9 +107,6 @@ class ActivationSpec:
         """Pointwise derivative: the float cast of :meth:`segment_mask`."""
         out = self.segment_mask(x).astype(float)
         return out if out.ndim else float(out)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ActivationSpec":

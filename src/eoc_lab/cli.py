@@ -14,8 +14,8 @@ stdout when ``--out`` is not given.  Plotting is left to external tools.
 All commands are deterministic given their flags; any randomness is behind
 an explicit ``--seed``.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 infeasible target,
-3 runtime divergence.
+Exit codes: 0 success, 1 usage or configuration error (or an allocation the
+machine refuses), 2 infeasible target, 3 runtime divergence.
 
 A JSON file passed via ``--config`` stands for flags of the subcommand:
 each key, a flag's destination name, becomes that flag with the value's
@@ -539,7 +539,7 @@ def main(argv=None) -> int:
         error = {"type": "infeasible_target", "message": str(exc)}
         _emit_json({"schema_version": SCHEMA_VERSION, "error": error})
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

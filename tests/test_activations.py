@@ -1,5 +1,7 @@
 """Tests of the activation families and their derivative convention."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -197,4 +199,4 @@ class TestSpecValidation:
     def test_json_roundtrip(self):
         for spec in (ActivationSpec("relu"), ActivationSpec("crelu", 0.3, 2.0),
                      ActivationSpec("cst", 1.1, 0.4)):
-            assert ActivationSpec.from_dict(spec.to_dict()) == spec
+            assert ActivationSpec.from_dict(asdict(spec)) == spec

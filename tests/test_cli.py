@@ -242,6 +242,7 @@ class TestSweep:
                         "--out", str(out)])
         assert proc.returncode == 0
         rows = read_csv(out)
+        assert len(rows) == 400 * 5
         by_m = {}
         for r in rows:
             by_m.setdefault(float(r["m"]), []).append((float(r["q"]), float(r["value"])))
@@ -460,14 +461,17 @@ class TestSweep:
 
     @pytest.mark.parametrize("quantity", cli.SWEEP_QUANTITIES)
     def test_rows_are_sized_as_written(self, tmp_path, monkeypatch, capsys, quantity):
-        """The rows handed to _write_csv report, before they are written,
-        the number of rows the CSV then holds."""
+        """The rows handed to _write_csv report, before and after they are
+        written, the number of rows the CSV then holds: 12291, four chunks
+        of lines.  The benchmark's tracer counts rows written as this len()
+        after each write."""
         sizes = []
         write_csv = cli._write_csv
 
         def sized(path, header, rows):
-            sizes.append(len(rows))
+            before = len(rows)
             write_csv(path, header, rows)
+            sizes.append((before, len(rows)))
 
         monkeypatch.setattr(cli, "_write_csv", sized)
         out = tmp_path / "grid.csv"
@@ -475,7 +479,7 @@ class TestSweep:
                          "--sparsity", "0.6,0.7,0.8", "--qstar-range", "0.1:5:17",
                          "--m-range", "0.5:3:241", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert sizes == [len(read_csv(out))] == [3 * 17 * 241]
+        assert sizes == [(len(read_csv(out)),) * 2] == [(3 * 17 * 241,) * 2]
 
     @pytest.mark.parametrize("quantity,kind,sparsity,q_range,m_range,has_nan", [
         # 2 x 32 x 64 = 4096 rows: exactly one chunk of lines
@@ -1051,6 +1055,71 @@ def test_omitted_run_flags_take_the_library_defaults(tmp_path, capsys, command, 
         assert cli.main([*argv, table, str(out)]) == 0
         written.append((capsys.readouterr(), out.read_bytes()))
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *_CRELU, "--qstar", "3"],
+    ["fixed-points", "--activation", "crelu", "-s", "0.85", "--qstar", "1", "--m", "2.0"],
+    ["jacobian", "--activation", "relu", "--qstar", "1", "--depth", "10"],
+    ["train", "--activation", "relu", "--qstar", "1", *_TRAIN_RUN, "--n-samples", "64"],
+], ids=["solve", "fixed-points", "jacobian", "train"])
+def test_out_takes_the_whole_document(tmp_path, capsys, argv):
+    """--out takes the JSON document that stdout gets without it, strict
+    JSON, and stdout stays empty."""
+    out = tmp_path / "doc.json"
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == printed
+    json.loads(printed, parse_constant=_reject_constant)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, holds", [
+    # V'' and chi1' where 2 q* would overflow
+    (["solve", *_CRELU, "--qstar", "1e308"],
+     lambda doc: doc["diagnostics"]["Vprimeprime"] != 0.0),
+    (["solve", "--activation", "relu", "--qstar", "3e-308"],
+     lambda doc: doc["init"]["sb2"] == 0.0),
+    # the default search interval's lower end, q*/20, is subnormal
+    (["fixed-points", "--activation", "relu", "--qstar", "3e-308"],
+     lambda doc: 0.0 < doc["report"]["search_interval"][0] < sys.float_info.min),
+    # a clip with no mass in float is no clip: a finite sb2
+    (["fixed-points", "--activation", "crelu", "-s", "0.85", "--qstar", "1", "--m", "1e200"],
+     lambda doc: doc["init"]["sb2"] is not None),
+], ids=["solve-1e308", "solve-relu-3e-308", "fixed-points-relu-3e-308", "fixed-points-1e200"])
+def test_ends_of_the_float_range_raise_no_warning(capsys, argv, holds):
+    """Commands at the ends of the float range exit 0 with no numeric
+    warning, and their documents hold finite, meaningful values."""
+    doc, _ = _run_in_process(argv, None, capsys)
+    assert holds(doc), doc
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["sweep", "--quantity", "Vprime", "--activation", "crelu", "--sparsity", "0.7",
+      "--qstar-range", "1:2:2", "--m-range", "1:2:2"], cli, "_sweep_block"),
+    (["simulate", *_CRELU, "--qstar", "1", *_RUN], cli.simulator, "run_forward"),
+    (["train", "--activation", "relu", "--qstar", "1", *_TRAIN_RUN], cli.trainer, "train"),
+], ids=["sweep", "simulate", "train"])
+def test_refused_allocation_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, module,
+                                                name):
+    """An allocation the machine refuses (numpy's MemoryError, which names
+    the size) exits 1 with that message on one line, not a traceback, and
+    nothing on stdout.  A run that computes before it writes leaves no
+    file (a sweep opens --out before it evaluates its first chunk)."""
+    message = ("Unable to allocate 1.46 TiB for an array with shape (200000000000,)"
+               " and data type float64")
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    if argv[0] != "sweep":
+        assert not out.exists()
 
 
 class TestTrainCommand:
